@@ -163,7 +163,7 @@ def _positivity_line(report: PositivityReport) -> str:
 
 def cmd_verify_positivity(args: argparse.Namespace) -> int:
     if (args.formula is None) == (args.corpus is None):
-        print("error: provide a formula or --corpus, not both", file=sys.stderr)
+        print("error: provide exactly one of a formula or --corpus", file=sys.stderr)
         return 2
     try:
         if args.corpus is not None:

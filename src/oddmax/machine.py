@@ -222,9 +222,7 @@ CASE_ORDER = (
 
 
 def build_query_tree(
-    formula: Formula,
-    program: MachineProgram = STANDARD_PROGRAM,
-    bound: int = TREE_BOUND,
+    formula: Formula, program: MachineProgram = STANDARD_PROGRAM
 ) -> QueryTree:
     """Materialize every computation branch over all possible oracle answers.
 
@@ -232,8 +230,8 @@ def build_query_tree(
     formula yields a bare verdict leaf.
     """
     n = num_vars(formula)
-    if n > bound:
-        raise ValueError(f"formula has {n} variables, exceeding the tree bound {bound}")
+    if n > TREE_BOUND:
+        raise ValueError(f"formula has {n} variables, exceeding the tree bound {TREE_BOUND}")
     if n == 0:
         return TreeLeaf(False)
     return _build_node(formula, 1, n, program)
@@ -283,12 +281,10 @@ def tree_queries(tree: QueryTree) -> frozenset[Query]:
 
 
 def query_universe(
-    formula: Formula,
-    program: MachineProgram = STANDARD_PROGRAM,
-    bound: int = TREE_BOUND,
+    formula: Formula, program: MachineProgram = STANDARD_PROGRAM
 ) -> frozenset[Query]:
     """The set of queries reachable on the formula under some oracle behavior."""
-    return tree_queries(build_query_tree(formula, program, bound))
+    return tree_queries(build_query_tree(formula, program))
 
 
 def tree_to_json(tree: QueryTree) -> dict:

@@ -123,7 +123,7 @@ def sorted_universe(universe: Iterable[Query]) -> tuple[Query, ...]:
 
 
 def enumerate_subset_pairs(
-    universe: Collection[Query], bound: int = SUBSET_PAIR_BOUND
+    universe: Collection[Query],
 ) -> Iterator[tuple[frozenset[Query], frozenset[Query]]]:
     """All ordered pairs (S, T) with S <= T <= universe, each exactly once.
 
@@ -131,9 +131,10 @@ def enumerate_subset_pairs(
     stream has exactly 3^|universe| pairs.
     """
     elements = sorted_universe(universe)
-    if len(elements) > bound:
+    if len(elements) > SUBSET_PAIR_BOUND:
         raise ValueError(
-            f"universe of size {len(elements)} exceeds the exhaustive bound {bound}"
+            f"universe of size {len(elements)} exceeds the exhaustive bound "
+            f"{SUBSET_PAIR_BOUND}"
         )
     for trits in product(range(3), repeat=len(elements)):
         small = frozenset(q for q, t in zip(elements, trits) if t == 2)

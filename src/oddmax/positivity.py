@@ -96,22 +96,20 @@ def _replayed_counterexample(
 
 
 def check_positivity_exhaustive(
-    formula: Formula,
-    program: MachineProgram = STANDARD_PROGRAM,
-    bound: int = SUBSET_PAIR_BOUND,
+    formula: Formula, program: MachineProgram = STANDARD_PROGRAM
 ) -> PositivityReport:
     """Sweep every nested oracle pair over the query universe.
 
     Reports the first violation found, or OK after all 3^|U| pairs. Raises
-    ValueError when the universe exceeds `bound`; fall back to sampling.
+    ValueError when the universe exceeds SUBSET_PAIR_BOUND; fall back to sampling.
     """
     text = serialize(formula)
     tree = build_query_tree(formula, program)
     universe = tree_queries(tree)
-    if len(universe) > bound:
+    if len(universe) > SUBSET_PAIR_BOUND:
         raise ValueError(
             f"query universe has {len(universe)} elements, exceeding the "
-            f"exhaustive bound {bound}"
+            f"exhaustive bound {SUBSET_PAIR_BOUND}"
         )
     verdicts: dict[frozenset[Query], bool] = {}
 
@@ -123,7 +121,7 @@ def check_positivity_exhaustive(
         return cached
 
     pairs = 0
-    for small, large in enumerate_subset_pairs(universe, bound):
+    for small, large in enumerate_subset_pairs(universe):
         pairs += 1
         if verdict(small) and not verdict(large):
             return PositivityReport(

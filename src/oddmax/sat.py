@@ -21,22 +21,20 @@ from .formula import (
     substitute,
 )
 
-#: Largest variable count sat_bruteforce will sweep (2^n assignments).
+#: Largest variable count swept as a truth table (2^n assignments): the
+#: limit of sat_bruteforce and the point where lexmax turns greedy.
 BRUTEFORCE_BOUND = 20
 
-#: Below this variable count lexmax enumerates; above it, it goes greedy.
-LEXMAX_ENUMERATION_BOUND = 16
 
-
-def sat_bruteforce(formula: Formula, bound: int = BRUTEFORCE_BOUND) -> bool:
+def sat_bruteforce(formula: Formula) -> bool:
     """Truth-table satisfiability over all 2^n assignments.
 
     The sweep is bit-parallel: each subformula is evaluated simultaneously
     on every assignment, one bit per assignment column.
     """
     n = num_vars(formula)
-    if n > bound:
-        raise ValueError(f"formula has {n} variables, exceeding the bound {bound}")
+    if n > BRUTEFORCE_BOUND:
+        raise ValueError(f"formula has {n} variables, exceeding the bound {BRUTEFORCE_BOUND}")
     return _truth_table(formula, n) != 0
 
 
@@ -121,23 +119,20 @@ def sat_dpll(formula: Formula) -> bool:
 def lexmax(formula: Formula) -> Assignment | None:
     """Lexicographically greatest satisfying assignment, or None if UNSAT.
 
-    x_1 is the most significant coordinate. Small formulas are settled by
-    descending enumeration from the all-true assignment; larger ones by
-    greedily pinning each variable to true when a satisfying extension
-    remains.
+    x_1 is the most significant coordinate. Up to BRUTEFORCE_BOUND
+    variables the witness is the highest set bit of the truth table, whose
+    index a reads as the numeral x_1..x_n (x_1 is bit n-1, x_n is bit 0).
+    Larger formulas are settled greedily by pinning each variable to true
+    when a satisfying extension remains.
     """
-    if num_vars(formula) <= LEXMAX_ENUMERATION_BOUND:
-        return lexmax_enumeration(formula)
-    return lexmax_greedy(formula)
-
-
-def lexmax_enumeration(formula: Formula) -> Assignment | None:
     n = num_vars(formula)
-    for packed in range((1 << n) - 1, -1, -1):
-        assignment = tuple(bool((packed >> (n - 1 - k)) & 1) for k in range(n))
-        if _eval_fast(formula, assignment):
-            return assignment
-    return None
+    if n > BRUTEFORCE_BOUND:
+        return lexmax_greedy(formula)
+    table = _truth_table(formula, n)
+    if not table:
+        return None
+    top = table.bit_length() - 1
+    return tuple(bool((top >> (n - 1 - k)) & 1) for k in range(n))
 
 
 def lexmax_greedy(formula: Formula) -> Assignment | None:
@@ -155,19 +150,6 @@ def lexmax_greedy(formula: Formula) -> Assignment | None:
             current = substitute(current, i, False)
             bits.append(False)
     return tuple(bits)
-
-
-def _eval_fast(formula: Formula, assignment: Assignment) -> bool:
-    # evaluate() without the per-call num_vars length check.
-    if isinstance(formula, Var):
-        return assignment[formula.index - 1]
-    if isinstance(formula, Const):
-        return formula.value
-    if isinstance(formula, Not):
-        return not _eval_fast(formula.child, assignment)
-    if isinstance(formula, And):
-        return _eval_fast(formula.left, assignment) and _eval_fast(formula.right, assignment)
-    return _eval_fast(formula.left, assignment) or _eval_fast(formula.right, assignment)
 
 
 def odd_max_sat_ref(formula: Formula) -> bool:

@@ -235,6 +235,20 @@ class TestVerifyPositivity:
         assert "OK x1" in out
         assert "skipped" in out
 
+    def test_needs_a_formula_or_a_corpus(self, capsys):
+        code, out, err = run_cli(capsys, "verify-positivity")
+        assert code == 2
+        assert out == ""
+        assert "provide exactly one of a formula or --corpus" in err
+
+    def test_rejects_both_a_formula_and_a_corpus(self, capsys, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("x1\n")
+        code, out, err = run_cli(capsys, "verify-positivity", "x1", "--corpus", str(path))
+        assert code == 2
+        assert out == ""
+        assert "provide exactly one of a formula or --corpus" in err
+
     def test_json_corpus_reports_are_a_list(self, capsys, tmp_path):
         path = tmp_path / "two.txt"
         path.write_text("x1\n!x1\n")

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import reference_lexmax, satisfying_assignments
-from oddmax.formula import num_vars, parse, random_formula
+from oddmax.formula import And, Not, Or, Var, num_vars, parse, random_formula
 from oddmax.sat import (
+    BRUTEFORCE_BOUND,
     lexmax,
-    lexmax_enumeration,
     lexmax_greedy,
     odd_max_sat_ref,
     sat_bruteforce,
@@ -81,15 +81,33 @@ class TestLexmax:
             formula = random_formula(seed, n=12, size=25)
             assert lexmax(formula) == reference_lexmax(formula)
 
-    def test_greedy_equals_enumeration(self):
+    def test_greedy_equals_truth_table(self):
         for seed in range(500):
             formula = random_formula(seed, n=12, size=25)
-            assert lexmax_greedy(formula) == lexmax_enumeration(formula)
+            assert lexmax_greedy(formula) == lexmax(formula)
 
     def test_greedy_handles_gaps(self):
         # Free variables are pinned true: they never block satisfiability.
         assert lexmax_greedy(parse("(x1&x3)")) == (True, True, True)
         assert lexmax_greedy(parse("x2")) == (True, True)
+
+    @pytest.mark.parametrize("n", [BRUTEFORCE_BOUND, BRUTEFORCE_BOUND + 1])
+    def test_regime_boundary(self, n):
+        # n = BRUTEFORCE_BOUND reads the truth table; one more goes greedy.
+        assert lexmax(parse(f"(x1&!x{n})")) == (True,) * (n - 1) + (False,)
+        assert lexmax(parse(f"((x1&!x1)&x{n})")) is None
+
+    @pytest.mark.parametrize("n", range(17, BRUTEFORCE_BOUND + 1))
+    def test_truth_table_equals_greedy_up_to_the_bound(self, n):
+        # reference_lexmax is too slow at this size; greedy is the oracle.
+        # The tautology on x_n makes every formula span exactly n variables;
+        # negations are included because their witnesses are rarely all-true.
+        for seed in range(5):
+            base = random_formula(seed, n=n, size=25)
+            for body in (base, Not(base)):
+                formula = And(body, Or(Var(n), Not(Var(n))))
+                assert num_vars(formula) == n
+                assert lexmax(formula) == lexmax_greedy(formula)
 
 
 class TestOddMaxSatRef:
