@@ -113,7 +113,7 @@ def _load_equivalence_batch(args: argparse.Namespace) -> tuple[list[Formula], di
 def cmd_verify_equivalence(args: argparse.Namespace) -> int:
     try:
         batch, meta = _load_equivalence_batch(args)
-    except (CorpusError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CorpusError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     mismatches = []
@@ -185,7 +185,11 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
     skipped: list[str] = []
     for formula in batch:
         if sampled:
-            reports.append(check_positivity_sampled(formula, args.samples, seed))
+            try:
+                reports.append(check_positivity_sampled(formula, args.samples, seed))
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             continue
         try:
             reports.append(check_positivity_exhaustive(formula))

@@ -11,7 +11,7 @@ import random
 from importlib import resources
 from pathlib import Path
 
-from .formula import Formula, ParseError, parse, random_formula
+from .formula import MAX_VAR_INDEX, Formula, ParseError, parse, random_formula
 
 
 class CorpusError(ValueError):
@@ -46,7 +46,12 @@ def curated_corpus() -> list[Formula]:
 
 
 def random_corpus(count: int, max_vars: int, size: int, seed: int) -> list[Formula]:
-    """A deterministic batch of random formulas with num_vars <= max_vars."""
+    """A deterministic batch of random formulas with num_vars <= max_vars.
+
+    Raises ValueError unless 1 <= max_vars <= MAX_VAR_INDEX, whatever the seed.
+    """
+    if not 1 <= max_vars <= MAX_VAR_INDEX:
+        raise ValueError(f"max_vars must be between 1 and {MAX_VAR_INDEX}, got {max_vars}")
     rng = random.Random(seed)
     batch = []
     for _ in range(count):

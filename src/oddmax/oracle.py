@@ -4,14 +4,17 @@ satisfiable/unsatisfiable join, finite oracles, and subset-pair enumeration.
 Wire format: the canonical serialization of a formula body immediately
 followed by a single tag character, '0' or '1', with no delimiter. Tag '0'
 routes a query to the left component of a join, tag '1' to the right.
+
+Subsets of a finite universe are bit masks over `sorted_universe`: bit i
+stands for element i. Sampling draws masks (`sample_subset_masks`), and
+`mask_subset` turns a mask back into a frozenset of queries.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Collection, Iterable, Iterator, Union
+from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
 from .formula import Formula, ParseError, parse
 from .sat import sat_dpll
@@ -122,13 +125,29 @@ def sorted_universe(universe: Iterable[Query]) -> tuple[Query, ...]:
     return tuple(sorted(universe, key=Query.wire))
 
 
+def mask_subset(elements: Sequence[Query], mask: int) -> frozenset[Query]:
+    """The subset of `elements` whose bit is set in `mask` (bit i is elements[i])."""
+    return frozenset(q for i, q in enumerate(elements) if (mask >> i) & 1)
+
+
+def _trit_masks(bits: Sequence[int]) -> list[tuple[int, int]]:
+    """(small, large) masks for every choice per bit of out, in large only,
+    or in both, in product(range(3), repeat=len(bits)) order."""
+    pairs = [(0, 0)]
+    for bit in reversed(bits):
+        pairs = [(s | hs, l | hl) for hs, hl in ((0, 0), (0, bit), (bit, bit)) for s, l in pairs]
+    return pairs
+
+
 def enumerate_subset_pairs(
     universe: Collection[Query],
 ) -> Iterator[tuple[frozenset[Query], frozenset[Query]]]:
     """All ordered pairs (S, T) with S <= T <= universe, each exactly once.
 
     Every element is independently out of T, in T only, or in both, so the
-    stream has exactly 3^|universe| pairs.
+    stream has exactly 3^|universe| pairs. They come in the order of
+    product(range(3), repeat=k) over the sorted elements, trit 2 meaning in
+    S and T, trit 1 in T only. The 2^k subsets are built once and shared.
     """
     elements = sorted_universe(universe)
     if len(elements) > SUBSET_PAIR_BOUND:
@@ -136,24 +155,36 @@ def enumerate_subset_pairs(
             f"universe of size {len(elements)} exceeds the exhaustive bound "
             f"{SUBSET_PAIR_BOUND}"
         )
-    for trits in product(range(3), repeat=len(elements)):
-        small = frozenset(q for q, t in zip(elements, trits) if t == 2)
-        large = frozenset(q for q, t in zip(elements, trits) if t >= 1)
-        yield small, large
+    subsets = [frozenset()]
+    for q in elements:
+        single = frozenset((q,))
+        subsets += [s | single for s in subsets]
+    # Split the trits in two halves so each pair costs two lookups, not k.
+    bits = [1 << i for i in range(len(elements))]
+    half = len(bits) // 2
+    low = _trit_masks(bits[half:])
+    for high_small, high_large in _trit_masks(bits[:half]):
+        for small, large in low:
+            yield subsets[high_small | small], subsets[high_large | large]
+
+
+def sample_subset_masks(k: int, rng: random.Random) -> tuple[int, int]:
+    """Draw T uniformly from subsets of k elements, then S uniformly from
+    subsets of T; return their masks (S, T)."""
+    if not k:
+        return 0, 0
+    large = rng.getrandbits(k)
+    return large & rng.getrandbits(k), large
 
 
 def sample_subset_pair(
     universe: Collection[Query], rng: int | random.Random
 ) -> tuple[frozenset[Query], frozenset[Query]]:
-    """Draw T uniformly from subsets of the universe, then S uniformly from
-    subsets of T. Takes a seed, or a generator for streams of draws; either
-    way the result is deterministic."""
+    """`sample_subset_masks` over the sorted universe, as frozensets. Takes a
+    seed, or a generator for streams of draws; either way the result is
+    deterministic."""
     if isinstance(rng, int):
         rng = random.Random(rng)
     elements = sorted_universe(universe)
-    k = len(elements)
-    large_bits = rng.getrandbits(k) if k else 0
-    small_bits = large_bits & (rng.getrandbits(k) if k else 0)
-    large = frozenset(q for i, q in enumerate(elements) if (large_bits >> i) & 1)
-    small = frozenset(q for i, q in enumerate(elements) if (small_bits >> i) & 1)
-    return small, large
+    small, large = sample_subset_masks(len(elements), rng)
+    return mask_subset(elements, small), mask_subset(elements, large)

@@ -6,6 +6,12 @@ than over all strings; a run's verdict only ever consults queries from that
 universe, so the restriction loses nothing (the test suite pins this down).
 Small universes are swept exhaustively over all 3^|U| nested pairs; larger
 ones are sampled.
+
+Oracles are bit masks over `sorted_universe`, bit i standing for element i.
+The sampled check draws a mask pair per sample and walks the query tree
+with the masks themselves; the exhaustive sweep shares the 2^|U| subset
+frozensets that `enumerate_subset_pairs` builds once per call. Frozensets
+and finite oracles of a sampled pair are built only to replay a violation.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from .oracle import (
     Query,
     SUBSET_PAIR_BOUND,
     enumerate_subset_pairs,
-    sample_subset_pair,
+    mask_subset,
+    sample_subset_masks,
+    sorted_universe,
 )
 
 #: Default number of pairs drawn in sampled mode.
@@ -141,15 +149,22 @@ def check_positivity_sampled(
     seed: int = 0,
     program: MachineProgram = STANDARD_PROGRAM,
 ) -> PositivityReport:
-    """Check `samples` nested pairs drawn from the seeded sampler."""
+    """Check `samples` nested pairs drawn from the seeded sampler.
+
+    Raises ValueError when `samples` < 1: a check of no pairs proves nothing.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     text = serialize(formula)
     tree = build_query_tree(formula, program)
     universe = tree_queries(tree)
+    elements = sorted_universe(universe)
+    bit = {q: 1 << i for i, q in enumerate(elements)}
     rng = random.Random(seed)
     for k in range(samples):
-        small, large = sample_subset_pair(universe, rng)
-        if tree_verdict(tree, small.__contains__) and not tree_verdict(
-            tree, large.__contains__
+        small, large = sample_subset_masks(len(elements), rng)
+        if tree_verdict(tree, lambda q: small & bit[q]) and not tree_verdict(
+            tree, lambda q: large & bit[q]
         ):
             return PositivityReport(
                 formula=text,
@@ -157,7 +172,13 @@ def check_positivity_sampled(
                 universe_size=len(universe),
                 pairs_checked=k + 1,
                 seed=seed,
-                violation=_replayed_counterexample(text, universe, small, large, program),
+                violation=_replayed_counterexample(
+                    text,
+                    universe,
+                    mask_subset(elements, small),
+                    mask_subset(elements, large),
+                    program,
+                ),
             )
     return PositivityReport(text, "sampled", len(universe), samples, seed, None)
 

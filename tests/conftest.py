@@ -7,9 +7,23 @@ tests never trust the code paths they are checking.
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from oddmax.corpus import curated_corpus
-from oddmax.formula import Formula, evaluate, num_vars, serialize, substitute
+from oddmax.formula import MAX_DEPTH, Formula, evaluate, num_vars, serialize, substitute
+
+#: Arbitrary input strings, weighted toward the grammar's own characters
+#: and toward nesting well past MAX_DEPTH.
+any_text = st.one_of(
+    st.text(),
+    st.text(alphabet="x0123456789()!&|"),
+    st.builds(
+        lambda unit, count, tail: unit * count + tail,
+        st.sampled_from(["!", "(", "x1|", "x1&", "!("]),
+        st.integers(0, 15 * MAX_DEPTH),
+        st.text(alphabet="x019()!&|", max_size=20),
+    ),
+)
 
 
 @pytest.fixture(scope="session")

@@ -86,7 +86,7 @@ def test_positivity_exhaustive_over_corpus():
 
 def test_positivity_sampled_over_corpus():
     """20 corpus formulas spanning 3 <= n <= 6, 10,000 sampled nested pairs
-    each, zero violations; under 120 s."""
+    each, zero violations; under 5 s."""
     start = time.perf_counter()
     picked = []
     for n in (3, 4, 5, 6):
@@ -98,14 +98,14 @@ def test_positivity_sampled_over_corpus():
         if not reportcard.ok:
             violations.append(serialize(formula))
     elapsed = time.perf_counter() - start
-    ok = not violations and elapsed < 120
+    ok = not violations and elapsed < 5
     report(
         "positivity-sampled",
         ok,
         f"(formulas=20 samples=10000 violations={len(violations)} time={elapsed:.1f}s)",
     )
     assert violations == []
-    assert elapsed < 120
+    assert elapsed < 5
 
 
 #: The checker that must catch each shipped mutant. A mutant added to

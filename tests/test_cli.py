@@ -107,6 +107,13 @@ class TestDecide:
         assert out == ""
         assert "syntax error" in err
 
+    @pytest.mark.parametrize("text", ["!" * 2000 + "x1", "(" * 2000 + "x1" + ")" * 2000, "x101"])
+    def test_inputs_beyond_the_parse_limits_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "decide", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: syntax error")
+
     def test_json_transcript_validates(self, capsys):
         code, out, _ = run_cli(capsys, "decide", "((x1|x2)&(!x1|!x2))", "--json")
         payload = json.loads(out)
@@ -175,6 +182,15 @@ class TestVerifyEquivalence:
         assert "seed=7" in out
         assert "mismatches=0" in out
 
+    @pytest.mark.parametrize("option", [["--max-vars", "101"], ["--max-vars", "0"], ["--size", "5000"]])
+    def test_random_batch_beyond_the_parse_limits_exits_2(self, capsys, option):
+        code, out, err = run_cli(
+            capsys, "verify-equivalence", "--random", "5", "--seed", "1", *option
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -213,6 +229,15 @@ class TestVerifyPositivity:
         )
         assert code == 2
         assert "--samples" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_non_positive_sample_counts_exit_2(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "verify-positivity", "x1", "--samples", samples, "--seed", "1", "--json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "samples" in err
 
     def test_json_report_validates(self, capsys):
         code, out, _ = run_cli(

@@ -6,9 +6,10 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import reachable_query_wires, reference_lexmax
-from oddmax.formula import num_vars, parse, random_formula, serialize
+from conftest import any_text, reachable_query_wires, reference_lexmax
+from oddmax.formula import ParseError, num_vars, parse, random_formula, serialize
 from oddmax.machine import (
     IterationCase,
     MUTANT_PROGRAMS,
@@ -254,3 +255,26 @@ class TestRestrictionSufficiency:
                     run_machine(text, restricted).verdict
                     == run_machine(text, noisy).verdict
                 )
+
+
+class TestTotality:
+    """run_machine and the join oracle answer every string without raising."""
+
+    def test_deep_input_is_rejected_without_queries(self):
+        transcript = run_machine("!" * 2000 + "x1", sat_join_cosat)
+        assert not transcript.well_formed
+        assert transcript.iterations == ()
+        assert transcript.verdict is False
+
+    @settings(deadline=None)
+    @given(any_text)
+    def test_never_raise_on_any_text(self, text):
+        try:
+            parse(text)
+            parses = True
+        except ParseError:
+            parses = False
+        assert run_machine(text, sat_join_cosat).well_formed is parses
+        for tag in "01":
+            answer = sat_join_cosat(Query(text, tag))
+            assert answer is False or (parses and answer is True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,9 @@ from oddmax.oracle import (
     Query,
     enumerate_subset_pairs,
     join_membership,
+    mask_subset,
     one_query_decider,
+    sample_subset_masks,
     sample_subset_pair,
     sat_join_cosat,
     sorted_universe,
@@ -71,6 +74,11 @@ class TestSatJoinCosat:
     def test_malformed_body_answers_false_on_both_tags(self):
         assert sat_join_cosat(Query("zzz", "0")) is False
         assert sat_join_cosat(Query("zzz", "1")) is False
+
+    def test_too_deep_body_answers_false_on_both_tags(self):
+        body = "!" * 2000 + "x1"
+        assert sat_join_cosat(Query(body, "0")) is False
+        assert sat_join_cosat(Query(body, "1")) is False
 
     def test_tags_answer_complementarily_on_formulas(self, corpus):
         # The engine behind the machine only ever seeing the two pin cases.
@@ -149,6 +157,22 @@ class TestEnumerateSubsetPairs:
         with pytest.raises(ValueError):
             list(enumerate_subset_pairs(universe))
 
+    @pytest.mark.parametrize("size", range(7))
+    def test_order_is_the_trit_product_order(self, size):
+        # Element j of the sorted universe is out (trit 0), in T only (1) or
+        # in S and T (2); pairs come in itertools.product order.
+        universe = {Query(f"x{i}", tag) for i in range(1, 4) for tag in "01"}
+        universe = set(sorted(universe, key=lambda query: query.wire())[:size])
+        elements = sorted_universe(universe)
+        expected = [
+            (
+                frozenset(x for x, t in zip(elements, trits) if t == 2),
+                frozenset(x for x, t in zip(elements, trits) if t >= 1),
+            )
+            for trits in product(range(3), repeat=size)
+        ]
+        assert list(enumerate_subset_pairs(universe)) == expected
+
 
 class TestSampleSubsetPair:
     def test_always_nested(self):
@@ -189,3 +213,23 @@ class TestSampleSubsetPair:
             frozenset(),
             frozenset(),
         )
+
+    def test_masks_make_the_same_draws(self):
+        universe = query_universe(parse("(x1&(x2|x3))"))
+        elements = sorted_universe(universe)
+        for seed in range(5):
+            by_pair, by_mask = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                small, large = sample_subset_masks(len(elements), by_mask)
+                assert small & ~large == 0
+                assert sample_subset_pair(universe, by_pair) == (
+                    mask_subset(elements, small),
+                    mask_subset(elements, large),
+                )
+            assert by_pair.getstate() == by_mask.getstate()
+
+    def test_no_elements_draw_nothing(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert sample_subset_masks(0, rng) == (0, 0)
+        assert rng.getstate() == state

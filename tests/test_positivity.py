@@ -2,19 +2,46 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from oddmax.formula import num_vars, parse, serialize
 from oddmax.machine import (
     MUTANT_PROGRAMS,
     MUTANT_SWAP_UNANIMOUS,
+    STANDARD_PROGRAM,
+    build_query_tree,
     run_machine,
+    tree_queries,
+    tree_verdict,
 )
+from oddmax.oracle import sorted_universe
 from oddmax.positivity import (
     check_positivity_exhaustive,
     check_positivity_sampled,
     verify_case_monotonicity,
 )
+
+
+def reference_sampled(formula, samples, seed, program):
+    """The sampled check as it stood with frozenset draws, written out here
+    so that it shares no sampling code with the checker: (pairs checked,
+    S wires, T wires) of the first violation, or (samples, None, None)."""
+    tree = build_query_tree(formula, program)
+    elements = sorted_universe(tree_queries(tree))
+    k = len(elements)
+    rng = random.Random(seed)
+    for checked in range(1, samples + 1):
+        large_bits = rng.getrandbits(k) if k else 0
+        small_bits = large_bits & (rng.getrandbits(k) if k else 0)
+        large = frozenset(q for i, q in enumerate(elements) if (large_bits >> i) & 1)
+        small = frozenset(q for i, q in enumerate(elements) if (small_bits >> i) & 1)
+        if tree_verdict(tree, small.__contains__) and not tree_verdict(
+            tree, large.__contains__
+        ):
+            return checked, sorted(q.wire() for q in small), sorted(q.wire() for q in large)
+    return samples, None, None
 
 
 def replay(report, program):
@@ -52,6 +79,14 @@ class TestExhaustive:
         assert violation.large_verdict is False
         assert replay(report, MUTANT_SWAP_UNANIMOUS) == (True, False)
 
+    def test_first_counterexample_on_two_variables_is_pinned(self):
+        # Recorded from the frozenset enumeration before subsets became masks.
+        payload = check_positivity_exhaustive(
+            parse("(x1&x2)"), program=MUTANT_SWAP_UNANIMOUS
+        ).to_json()
+        assert payload["pairsChecked"] == 5
+        assert payload["result"] == {"S": [], "T": ["(1&x2)0", "(1&x2)1"]}
+
     def test_clean_corpus_formulas(self, corpus):
         for formula in corpus:
             if num_vars(formula) > 2:
@@ -81,6 +116,30 @@ class TestSampled:
         assert not report.ok
         assert report.pairs_checked == 3  # frozen: third drawn pair violates
         assert replay(report, MUTANT_SWAP_UNANIMOUS) == (True, False)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_non_positive_sample_counts(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            check_positivity_sampled(parse("x1"), samples=samples)
+
+    @pytest.mark.parametrize(
+        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+        ids=["standard", *MUTANT_PROGRAMS],
+    )
+    def test_equals_the_frozenset_reference(self, program, corpus):
+        for formula in corpus:
+            if num_vars(formula) > 4:
+                continue
+            for seed in (0, 1, 2):
+                report = check_positivity_sampled(formula, samples=60, seed=seed, program=program)
+                payload = report.to_json()["result"]
+                got = (
+                    (report.pairs_checked, None, None)
+                    if report.ok
+                    else (report.pairs_checked, payload["S"], payload["T"])
+                )
+                expected = reference_sampled(formula, 60, seed, program)
+                assert got == expected, (serialize(formula), seed)
 
 
 class TestMutantReality:
