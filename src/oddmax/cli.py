@@ -175,6 +175,9 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
         return 2
 
     sampled = args.samples is not None
+    if sampled and args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     seed = args.seed
     if sampled and seed is None:
         seed = random.SystemRandom().randrange(2**32)
@@ -187,7 +190,7 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
         if sampled:
             try:
                 reports.append(check_positivity_sampled(formula, args.samples, seed))
-            except ValueError as exc:
+            except ValueError as exc:  # a universe beyond the tree bound
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             continue

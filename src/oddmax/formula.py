@@ -11,13 +11,8 @@ Grammar accepted by :func:`parse`::
     lit     := "!" lit | "(" formula ")" | var | "0" | "1"
     var     := "x" nonzero-digit { digit }
 
-Unparenthesized operator chains associate to the left. Digits are ASCII.
-
-:func:`parse` bounds what it accepts, so every recursive walker downstream
-is safe by construction: the AST may be at most ``MAX_DEPTH`` high (an
-operator chain of m operands is m - 1 high), parentheses and negations may
-nest at most ``MAX_DEPTH`` deep, and variable indices stop at
-``MAX_VAR_INDEX``. The canonical form of any accepted formula is accepted.
+Unparenthesized operator chains associate to the left. Digits are ASCII,
+and variable indices stop at ``MAX_VAR_INDEX``.
 """
 
 from __future__ import annotations
@@ -28,11 +23,6 @@ from typing import Sequence, Union
 
 Formula = Union["Var", "Not", "And", "Or", "Const"]
 
-#: Highest AST, and deepest nesting of parentheses and negations, that parse
-#: accepts. Each parenthesis level costs the parser three stack frames
-#: (or, and, literal), so 200 levels stay well inside Python's default
-#: recursion limit of 1000, with room for the caller.
-MAX_DEPTH = 200
 #: Largest variable index parse accepts. A formula on x_1..x_n makes the
 #: machine loop n times, so the index bounds the length of a run.
 MAX_VAR_INDEX = 100
@@ -84,67 +74,47 @@ class ParseError(ValueError):
 def parse(text: str) -> Formula:
     """Parse `text` into a Formula, or raise ParseError.
 
-    The grammar is strict: no whitespace, no trailing characters. Formulas
-    beyond MAX_DEPTH or MAX_VAR_INDEX are rejected like malformed text.
+    The grammar is strict: no whitespace, no trailing characters. Variable
+    indices above MAX_VAR_INDEX are rejected like malformed text.
     """
-    ast, pos, _ = _parse_or(text, 0, 0)
+    ast, pos = _parse_or(text, 0)
     if pos != len(text):
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     return ast
 
 
-# Each helper takes the nesting depth of parentheses and negations around
-# `pos` and returns (node, end position, height of the node's AST).
-
-
-def _too_deep(pos: int) -> ParseError:
-    return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", pos)
-
-
-def _parse_or(text: str, pos: int, depth: int) -> tuple[Formula, int, int]:
-    node, pos, height = _parse_and(text, pos, depth)
+def _parse_or(text: str, pos: int) -> tuple[Formula, int]:
+    node, pos = _parse_and(text, pos)
     while pos < len(text) and text[pos] == "|":
-        right, end, right_height = _parse_and(text, pos + 1, depth)
-        height = (height if height > right_height else right_height) + 1
-        if height > MAX_DEPTH:
-            raise _too_deep(pos)
-        node, pos = Or(node, right), end
-    return node, pos, height
+        right, pos = _parse_and(text, pos + 1)
+        node = Or(node, right)
+    return node, pos
 
 
-def _parse_and(text: str, pos: int, depth: int) -> tuple[Formula, int, int]:
-    node, pos, height = _parse_lit(text, pos, depth)
+def _parse_and(text: str, pos: int) -> tuple[Formula, int]:
+    node, pos = _parse_lit(text, pos)
     while pos < len(text) and text[pos] == "&":
-        right, end, right_height = _parse_lit(text, pos + 1, depth)
-        height = (height if height > right_height else right_height) + 1
-        if height > MAX_DEPTH:
-            raise _too_deep(pos)
-        node, pos = And(node, right), end
-    return node, pos, height
+        right, pos = _parse_lit(text, pos + 1)
+        node = And(node, right)
+    return node, pos
 
 
-def _parse_lit(text: str, pos: int, depth: int) -> tuple[Formula, int, int]:
+def _parse_lit(text: str, pos: int) -> tuple[Formula, int]:
     if pos >= len(text):
         raise ParseError("unexpected end of input", pos)
     ch = text[pos]
     if ch == "!":
-        if depth == MAX_DEPTH:
-            raise _too_deep(pos)
-        child, end, height = _parse_lit(text, pos + 1, depth + 1)
-        if height == MAX_DEPTH:
-            raise _too_deep(pos)
-        return Not(child), end, height + 1
+        child, pos = _parse_lit(text, pos + 1)
+        return Not(child), pos
     if ch == "(":
-        if depth == MAX_DEPTH:
-            raise _too_deep(pos)
-        node, pos, height = _parse_or(text, pos + 1, depth + 1)
+        node, pos = _parse_or(text, pos + 1)
         if pos >= len(text) or text[pos] != ")":
             raise ParseError("expected ')'", pos)
-        return node, pos + 1, height
+        return node, pos + 1
     if ch == "0":
-        return Const(False), pos + 1, 0
+        return Const(False), pos + 1
     if ch == "1":
-        return Const(True), pos + 1, 0
+        return Const(True), pos + 1
     if ch == "x":
         return _parse_var(text, pos)
     raise ParseError(f"unexpected character {ch!r}", pos)
@@ -154,7 +124,7 @@ _DIGITS = frozenset("0123456789")
 _INDEX_WIDTH = len(str(MAX_VAR_INDEX))
 
 
-def _parse_var(text: str, pos: int) -> tuple[Formula, int, int]:
+def _parse_var(text: str, pos: int) -> tuple[Formula, int]:
     start = pos + 1
     if start >= len(text) or text[start] not in _DIGITS:
         raise ParseError("expected variable index after 'x'", start)
@@ -167,7 +137,7 @@ def _parse_var(text: str, pos: int) -> tuple[Formula, int, int]:
     index = int(text[start:end]) if end - start <= _INDEX_WIDTH else MAX_VAR_INDEX + 1
     if index > MAX_VAR_INDEX:
         raise ParseError(f"variable index exceeds {MAX_VAR_INDEX}", start)
-    return Var(index), end, 0
+    return Var(index), end
 
 
 def serialize(formula: Formula) -> str:
@@ -260,13 +230,12 @@ def assignment_bits(assignment: Sequence[bool]) -> str:
 def random_formula(seed: int, n: int, size: int) -> Formula:
     """Deterministic random AST with variable indices <= n and <= size nodes.
 
-    Bounded so that parse accepts every result: n <= MAX_VAR_INDEX and
-    size <= MAX_DEPTH (an AST of m nodes is at most m - 1 high).
+    Bounded so that parse accepts every result: n <= MAX_VAR_INDEX.
     """
     if not 1 <= n <= MAX_VAR_INDEX:
         raise ValueError(f"n must be between 1 and {MAX_VAR_INDEX}, got {n}")
-    if not 1 <= size <= MAX_DEPTH:
-        raise ValueError(f"size must be between 1 and {MAX_DEPTH}, got {size}")
+    if size < 1:
+        raise ValueError("size must be >= 1")
     rng = random.Random(seed)
     return _random_node(rng, n, size)
 

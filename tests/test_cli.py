@@ -107,8 +107,8 @@ class TestDecide:
         assert out == ""
         assert "syntax error" in err
 
-    @pytest.mark.parametrize("text", ["!" * 2000 + "x1", "(" * 2000 + "x1" + ")" * 2000, "x101"])
-    def test_inputs_beyond_the_parse_limits_exit_2(self, capsys, text):
+    @pytest.mark.parametrize("text", ["x101", "x99999999"])
+    def test_index_beyond_the_cap_exits_2(self, capsys, text):
         code, out, err = run_cli(capsys, "decide", text)
         assert code == 2
         assert out == ""
@@ -182,10 +182,10 @@ class TestVerifyEquivalence:
         assert "seed=7" in out
         assert "mismatches=0" in out
 
-    @pytest.mark.parametrize("option", [["--max-vars", "101"], ["--max-vars", "0"], ["--size", "5000"]])
-    def test_random_batch_beyond_the_parse_limits_exits_2(self, capsys, option):
+    @pytest.mark.parametrize("max_vars", ["101", "0"])
+    def test_random_batch_beyond_the_index_cap_exits_2(self, capsys, max_vars):
         code, out, err = run_cli(
-            capsys, "verify-equivalence", "--random", "5", "--seed", "1", *option
+            capsys, "verify-equivalence", "--random", "5", "--seed", "1", "--max-vars", max_vars
         )
         assert code == 2
         assert out == ""
@@ -235,6 +235,12 @@ class TestVerifyPositivity:
         code, out, err = run_cli(
             capsys, "verify-positivity", "x1", "--samples", samples, "--seed", "1", "--json"
         )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "samples" in err
+
+    def test_non_positive_sample_count_prints_no_seed(self, capsys):
+        code, out, err = run_cli(capsys, "verify-positivity", "x1", "--samples", "0")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "samples" in err

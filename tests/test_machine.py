@@ -260,8 +260,8 @@ class TestRestrictionSufficiency:
 class TestTotality:
     """run_machine and the join oracle answer every string without raising."""
 
-    def test_deep_input_is_rejected_without_queries(self):
-        transcript = run_machine("!" * 2000 + "x1", sat_join_cosat)
+    def test_index_beyond_the_cap_is_rejected_without_queries(self):
+        transcript = run_machine("x99999999", sat_join_cosat)
         assert not transcript.well_formed
         assert transcript.iterations == ()
         assert transcript.verdict is False
