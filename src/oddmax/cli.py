@@ -111,6 +111,9 @@ def _load_equivalence_batch(args: argparse.Namespace) -> tuple[list[Formula], di
 
 
 def cmd_verify_equivalence(args: argparse.Namespace) -> int:
+    if args.random is not None and args.random < 1:
+        print(f"error: --random must be at least 1, got {args.random}", file=sys.stderr)
+        return 2
     try:
         batch, meta = _load_equivalence_batch(args)
     except (ValueError, OSError) as exc:  # CorpusError is a ValueError

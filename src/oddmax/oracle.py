@@ -12,15 +12,19 @@ stands for element i. Sampling draws masks (`sample_subset_masks`), and
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
-from .formula import Formula, ParseError, parse
+from .formula import ParseError, parse
 from .sat import sat_dpll
 
 #: Largest universe enumerate_subset_pairs will sweep (3^|U| pairs).
 SUBSET_PAIR_BOUND = 12
+
+#: Distinct bodies whose satisfiability the join oracle keeps (LRU).
+BODY_MEMO_SIZE = 1024
 
 TAGS = ("0", "1")
 
@@ -65,11 +69,18 @@ def join_membership(query: Query, left: SetPredicate, right: SetPredicate) -> bo
     return query.body in side
 
 
-def _parse_body(body: str) -> Formula | None:
+@functools.lru_cache(maxsize=BODY_MEMO_SIZE)
+def _body_sat(body: str) -> bool | None:
+    """Satisfiability of a query body, or None when it is not a formula.
+
+    Both tags of a body share this one answer, so a machine iteration costs
+    one parse and one solve. Exceptions (deep input) propagate uncached.
+    """
     try:
-        return parse(body)
+        formula = parse(body)
     except ParseError:
         return None
+    return sat_dpll(formula)
 
 
 def sat_join_cosat(query: Query) -> bool:
@@ -77,10 +88,9 @@ def sat_join_cosat(query: Query) -> bool:
     on tag '1'. Bodies that are not formulas are answered False on both tags,
     keeping the predicate total.
     """
-    body = _parse_body(query.body)
-    if body is None:
+    answer = _body_sat(query.body)
+    if answer is None:
         return False
-    answer = sat_dpll(body)
     return answer if query.tag == "0" else not answer
 
 
@@ -89,15 +99,15 @@ def one_query_decider(query: Query, sat_calls: list[str] | None = None) -> bool:
 
     Returns the call's answer for tag '0' and its negation for tag '1';
     agrees with sat_join_cosat everywhere. Pass a list as `sat_calls` to
-    meter the calls made (the body is appended once per call). Bodies that
-    are not formulas are answered False without consulting the solver.
+    meter the calls made (the body is appended once per call, whether or not
+    the memo already holds the answer). Bodies that are not formulas are
+    answered False without a metered call.
     """
-    body = _parse_body(query.body)
-    if body is None:
+    answer = _body_sat(query.body)
+    if answer is None:
         return False
     if sat_calls is not None:
         sat_calls.append(query.body)
-    answer = sat_dpll(body)
     return answer if query.tag == "0" else not answer
 
 

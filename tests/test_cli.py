@@ -191,6 +191,21 @@ class TestVerifyEquivalence:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_random_counts_exit_2(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "verify-equivalence", "--random", count, "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--random" in err
+
+    def test_non_positive_random_count_prints_no_seed(self, capsys):
+        code, out, err = run_cli(capsys, "verify-equivalence", "--random", "0")
+        assert code == 2
+        assert out == ""
+        assert "seed" not in err
+
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(
             capsys,

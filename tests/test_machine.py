@@ -23,6 +23,7 @@ from oddmax.machine import (
     run_machine,
     tree_verdict,
 )
+import oddmax.oracle
 from oddmax.oracle import FiniteOracle, Query, sat_join_cosat
 from oddmax.sat import odd_max_sat_ref
 
@@ -91,6 +92,27 @@ class TestRunMachine:
             "tag": "0",
             "answer": True,
         }
+
+
+class TestBodyMemo:
+    def test_each_iteration_costs_one_solver_call(self, monkeypatch):
+        solved: list[object] = []
+        original = oddmax.oracle.sat_dpll
+
+        def counting(formula):
+            solved.append(formula)
+            return original(formula)
+
+        oddmax.oracle._body_sat.cache_clear()
+        monkeypatch.setattr(oddmax.oracle, "sat_dpll", counting)
+        text = "((x1|x2)&(!x1|!x3))"
+        cold = run_machine(text, sat_join_cosat)
+        k = len(cold.iterations)
+        assert k == 3 and cold.query_count() == 2 * k
+        assert len(solved) == k
+        warm = run_machine(text, sat_join_cosat)
+        assert len(solved) == k
+        assert warm.to_json() == cold.to_json()
 
 
 class TestDecide:

@@ -7,9 +7,10 @@ from itertools import product
 
 import pytest
 
-from oddmax.formula import parse
+from oddmax.formula import num_vars, parse
 from oddmax.machine import query_universe
 from oddmax.oracle import (
+    BODY_MEMO_SIZE,
     FiniteOracle,
     Query,
     enumerate_subset_pairs,
@@ -21,6 +22,8 @@ from oddmax.oracle import (
     sat_join_cosat,
     sorted_universe,
 )
+from oddmax.oracle import _body_sat as body_memo
+from oddmax.sat import sat_bruteforce
 
 
 def q(wire: str) -> Query:
@@ -116,6 +119,54 @@ class TestOneQueryDecider:
                 calls: list[str] = []
                 assert one_query_decider(query, calls) == sat_join_cosat(query)
                 assert len(calls) == 1
+
+
+class TestBodyMemo:
+    """The memo behind the join oracle, checked against the truth-table back end."""
+
+    def test_cold_and_warm_memo_match_the_truth_table(self, corpus):
+        queries = [
+            query
+            for formula in corpus
+            if 1 <= num_vars(formula) <= 6
+            for query in sorted_universe(query_universe(formula))
+        ]
+
+        def check_all():
+            for query in queries:
+                expected = sat_bruteforce(parse(query.body))
+                assert sat_join_cosat(query) == (expected if query.tag == "0" else not expected)
+
+        body_memo.cache_clear()
+        check_all()
+        cold_misses = body_memo.cache_info().misses
+        check_all()
+        # Fewer distinct bodies than the bound: each is solved once, on the
+        # cold pass, and the warm pass solves nothing.
+        assert cold_misses == len({query.body for query in queries}) < BODY_MEMO_SIZE
+        assert body_memo.cache_info().misses == cold_misses
+
+    @pytest.mark.parametrize("body", ["zzz", "", "x0"])
+    def test_malformed_bodies_answer_false_on_repeat(self, body):
+        body_memo.cache_clear()
+        for _ in range(3):
+            assert sat_join_cosat(Query(body, "0")) is False
+            assert sat_join_cosat(Query(body, "1")) is False
+            calls: list[str] = []
+            assert one_query_decider(Query(body, "1"), calls) is False
+            assert calls == []
+
+    def test_memo_stays_within_its_bound(self):
+        body_memo.cache_clear()
+        bodies = [
+            f"(x{i}{op}{neg}x{j})"
+            for op in "&|" for neg in ("", "!") for i in range(1, 21) for j in range(1, 21)
+        ]
+        assert len(bodies) > BODY_MEMO_SIZE
+        for body in bodies:
+            expected = sat_bruteforce(parse(body))
+            assert sat_join_cosat(Query(body, "0")) is expected
+        assert body_memo.cache_info().currsize <= BODY_MEMO_SIZE
 
 
 class TestFiniteOracle:
