@@ -16,6 +16,7 @@ from typing import Sequence
 from .corpus import CorpusError, load_corpus, random_corpus
 from .formula import Formula, ParseError, assignment_bits, num_vars, parse, serialize
 from .machine import (
+    TREE_BOUND,
     Transcript,
     build_query_tree,
     decide_oddmaxsat,
@@ -184,27 +185,21 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
     seed = args.seed
     if sampled and seed is None:
         seed = random.SystemRandom().randrange(2**32)
-        if not args.json:
-            print(f"seed={seed}")
 
     reports: list[PositivityReport] = []
     skipped: list[str] = []
     for formula in batch:
-        if sampled:
-            try:
-                reports.append(check_positivity_sampled(formula, args.samples, seed))
-            except ValueError as exc:  # a universe beyond the tree bound
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            continue
         try:
-            reports.append(check_positivity_exhaustive(formula))
-        except ValueError as exc:
+            if sampled:
+                reports.append(check_positivity_sampled(formula, args.samples, seed))
+            else:
+                reports.append(check_positivity_exhaustive(formula))
+        except ValueError as exc:  # the formula is beyond the mode's bound
             if args.corpus is not None:
                 skipped.append(serialize(formula))
                 continue
-            print(f"error: {exc}; use --samples for universes beyond "
-                  f"{SUBSET_PAIR_BOUND}", file=sys.stderr)
+            hint = "" if sampled else f"; use --samples for universes beyond {SUBSET_PAIR_BOUND}"
+            print(f"error: {exc}{hint}", file=sys.stderr)
             return 2
 
     if args.json:
@@ -213,10 +208,14 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
             payload = reports[0].to_json()
         _print_json(payload)
     else:
+        if sampled and args.seed is None:
+            print(f"seed={seed}")
         for report in reports:
             print(_positivity_line(report))
+        reason = (f"more than {TREE_BOUND} variables" if sampled
+                  else "universe beyond the exhaustive bound; use --samples")
         for text in skipped:
-            print(f"skipped {text} (universe beyond the exhaustive bound; use --samples)")
+            print(f"skipped {text} ({reason})")
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -18,12 +18,13 @@ from .formula import (
     Or,
     Var,
     num_vars,
-    substitute,
 )
 
 #: Largest variable count swept as a truth table (2^n assignments): the
 #: limit of sat_bruteforce and the point where lexmax turns greedy.
 BRUTEFORCE_BOUND = 20
+
+_TRUE, _FALSE = Const(True), Const(False)
 
 
 def sat_bruteforce(formula: Formula) -> bool:
@@ -40,16 +41,20 @@ def sat_bruteforce(formula: Formula) -> bool:
 
 def _truth_table(formula: Formula, n: int) -> int:
     """Integer whose bit a is evaluate(formula, assignment a) over all 2^n a."""
-    full = (1 << (1 << n)) - 1
+    return _table(formula, n, (1 << (1 << n)) - 1)
+
+
+def _table(formula: Formula, n: int, full: int) -> int:
+    # `full` is the all-ones mask over the 2^n columns, built once per table.
     if isinstance(formula, Var):
         return _var_column(n - formula.index, n)
     if isinstance(formula, Const):
         return full if formula.value else 0
     if isinstance(formula, Not):
-        return full & ~_truth_table(formula.child, n)
+        return full ^ _table(formula.child, n, full)
     if isinstance(formula, And):
-        return _truth_table(formula.left, n) & _truth_table(formula.right, n)
-    return _truth_table(formula.left, n) | _truth_table(formula.right, n)
+        return _table(formula.left, n, full) & _table(formula.right, n, full)
+    return _table(formula.left, n, full) | _table(formula.right, n, full)
 
 
 @lru_cache(maxsize=None)
@@ -67,35 +72,39 @@ def _var_column(shift: int, n: int) -> int:
     return column
 
 
-def _fold_constants(formula: Formula) -> Formula:
-    """Semantic constant propagation; returns Const when the value is forced."""
-    if isinstance(formula, (Var, Const)):
+def _assign(formula: Formula, index: int, value: Const) -> Formula:
+    """Put `value` for x_index and fold constants in one walk (Const if forced).
+
+    Subtrees with neither x_index nor a constant come back as the same
+    objects. Index 0 matches no variable: _assign(formula, 0, value) only folds.
+    """
+    if isinstance(formula, Var):
+        return value if formula.index == index else formula
+    if isinstance(formula, Const):
         return formula
     if isinstance(formula, Not):
-        child = _fold_constants(formula.child)
+        child = _assign(formula.child, index, value)
         if isinstance(child, Const):
             return Const(not child.value)
-        return Not(child)
-    left = _fold_constants(formula.left)
-    right = _fold_constants(formula.right)
-    if isinstance(formula, And):
-        if isinstance(left, Const):
-            return right if left.value else Const(False)
-        if isinstance(right, Const):
-            return left if right.value else Const(False)
-        return And(left, right)
+        return formula if child is formula.child else Not(child)
+    left = _assign(formula.left, index, value)
+    right = _assign(formula.right, index, value)
+    is_or = isinstance(formula, Or)  # True absorbs an Or, False an And
     if isinstance(left, Const):
-        return Const(True) if left.value else right
+        return left if left.value == is_or else right
     if isinstance(right, Const):
-        return Const(True) if right.value else left
-    return Or(left, right)
+        return right if right.value == is_or else left
+    if left is formula.left and right is formula.right:
+        return formula
+    return Or(left, right) if is_or else And(left, right)
 
 
 def _min_var(formula: Formula) -> int:
+    # Lowest variable index, or 0 when the formula holds a constant.
     if isinstance(formula, Var):
         return formula.index
     if isinstance(formula, Const):
-        raise ValueError("constant formula has no variables")
+        return 0
     if isinstance(formula, Not):
         return _min_var(formula.child)
     return min(_min_var(formula.left), _min_var(formula.right))
@@ -107,12 +116,14 @@ def sat_dpll(formula: Formula) -> bool:
     Works directly on the AST: propagate constants, then try the true
     branch before the false branch. No variable-count bound.
     """
-    folded = _fold_constants(formula)
-    if isinstance(folded, Const):
-        return folded.value
-    index = _min_var(folded)
-    return sat_dpll(substitute(folded, index, True)) or sat_dpll(
-        substitute(folded, index, False)
+    index = _min_var(formula)
+    if index == 0:  # only the caller's formula can hold unfolded constants
+        formula = _assign(formula, 0, _TRUE)
+        if isinstance(formula, Const):
+            return formula.value
+        index = _min_var(formula)
+    return sat_dpll(_assign(formula, index, _TRUE)) or sat_dpll(
+        _assign(formula, index, _FALSE)
     )
 
 
@@ -142,12 +153,12 @@ def lexmax_greedy(formula: Formula) -> Assignment | None:
     bits: list[bool] = []
     current = formula
     for i in range(1, n + 1):
-        pinned_true = substitute(current, i, True)
+        pinned_true = _assign(current, i, _TRUE)
         if sat_dpll(pinned_true):
             current = pinned_true
             bits.append(True)
         else:
-            current = substitute(current, i, False)
+            current = _assign(current, i, _FALSE)
             bits.append(False)
     return tuple(bits)
 

@@ -260,6 +260,44 @@ class TestVerifyPositivity:
         assert out == ""
         assert err.startswith("error:") and "samples" in err
 
+    def test_formula_beyond_the_tree_bound_prints_no_seed(self, capsys):
+        code, out, err = run_cli(capsys, "verify-positivity", "x11", "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tree bound" in err
+
+    def test_drawn_seed_leads_the_report_and_replays_it(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-positivity", "(x1&x2)", "--samples", "50")
+        assert code == 0
+        seed_line, report_line = out.splitlines()
+        assert seed_line.startswith("seed=")
+        replay = run_cli(
+            capsys, "verify-positivity", "(x1&x2)", "--samples", "50",
+            "--seed", seed_line.removeprefix("seed="),
+        )
+        assert replay == (0, report_line + "\n", "")
+
+    def test_corpus_sampled_skips_formulas_beyond_the_tree_bound(self, capsys, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_text("x1\n(x1&x11)\n!x2\n")
+        argv = ("verify-positivity", "--corpus", str(path), "--samples", "50", "--seed", "3")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["OK", "x1"], ["OK", "!x2"], ["skipped", "(x1&x11)"],
+        ]
+        assert lines[-1] == "skipped (x1&x11) (more than 10 variables)"
+        code, out, err = run_cli(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert err == ""
+        assert [report["formula"] for report in payload] == ["x1", "!x2"]
+        for report in payload:
+            jsonschema.validate(report, POSITIVITY_SCHEMA)
+            assert report["mode"] == "sampled" and report["seed"] == 3
+
     def test_json_report_validates(self, capsys):
         code, out, _ = run_cli(
             capsys,
