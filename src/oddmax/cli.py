@@ -194,11 +194,14 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
                 reports.append(check_positivity_sampled(formula, args.samples, seed))
             else:
                 reports.append(check_positivity_exhaustive(formula))
-        except ValueError as exc:  # the formula is beyond the mode's bound
+        except ValueError as exc:  # the formula is beyond the tree or the exhaustive bound
+            beyond_tree = num_vars(formula) > TREE_BOUND
             if args.corpus is not None:
-                skipped.append(serialize(formula))
+                reason = (f"more than {TREE_BOUND} variables" if beyond_tree
+                          else "universe beyond the exhaustive bound; use --samples")
+                skipped.append(f"skipped {serialize(formula)} ({reason})")
                 continue
-            hint = "" if sampled else f"; use --samples for universes beyond {SUBSET_PAIR_BOUND}"
+            hint = "" if beyond_tree else f"; use --samples for universes beyond {SUBSET_PAIR_BOUND}"
             print(f"error: {exc}{hint}", file=sys.stderr)
             return 2
 
@@ -212,10 +215,8 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
             print(f"seed={seed}")
         for report in reports:
             print(_positivity_line(report))
-        reason = (f"more than {TREE_BOUND} variables" if sampled
-                  else "universe beyond the exhaustive bound; use --samples")
-        for text in skipped:
-            print(f"skipped {text} ({reason})")
+        for line in skipped:
+            print(line)
     return 0 if all(r.ok for r in reports) else 1
 
 

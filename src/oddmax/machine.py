@@ -249,7 +249,8 @@ def _build_node(
     def continuation(value: bool, final: bool) -> QueryTree:
         if i == n:
             return TreeLeaf(final)
-        return _build_node(substitute(formula, i, value), i + 1, n, program)
+        child = pinned if value else substitute(formula, i, False)
+        return _build_node(child, i + 1, n, program)
 
     edges = (
         (IterationCase.FIX_TRUE, continuation(program.fix_true_value, program.fix_true_final)),

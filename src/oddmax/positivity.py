@@ -8,10 +8,14 @@ Small universes are swept exhaustively over all 3^|U| nested pairs; larger
 ones are sampled.
 
 Oracles are bit masks over `sorted_universe`, bit i standing for element i.
-The sampled check draws a mask pair per sample and walks the query tree
-with the masks themselves; the exhaustive sweep shares the 2^|U| subset
-frozensets that `enumerate_subset_pairs` builds once per call. Frozensets
-and finite oracles of a sampled pair are built only to replay a violation.
+The sampled check compiles the query tree once per call into a mask
+program (`_mask_tree`): nested tuples holding each node's two query bits
+and its four children in `CASE_ORDER`, with bool leaves. Each drawn mask
+then selects its run with two integer ANDs per level (`_mask_verdict`).
+The exhaustive sweep walks the tree itself with `tree_verdict`, sharing the
+2^|U| subset frozensets that `enumerate_subset_pairs` builds once per call.
+Frozensets and finite oracles of a sampled pair are built only to replay a
+violation.
 """
 
 from __future__ import annotations
@@ -19,12 +23,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import Mapping, Union
 
 from .formula import Formula, serialize
 from .machine import (
+    CASE_ORDER,
     IterationCase,
     MachineProgram,
     STANDARD_PROGRAM,
+    QueryTree,
+    TreeLeaf,
     build_query_tree,
     classify_case,
     run_machine,
@@ -103,6 +111,30 @@ def _replayed_counterexample(
     return Counterexample(small_oracle, large_oracle, small_verdict, large_verdict)
 
 
+#: A compiled query tree: (bit0, bit1, fix_true, fix_false, accept_both,
+#: reject_both) per node, the children in CASE_ORDER; a leaf is its verdict.
+MaskTree = Union[tuple, bool]
+
+
+def _mask_tree(tree: QueryTree, bit: Mapping[Query, int]) -> MaskTree:
+    """Compile the tree for `_mask_verdict`; `bit` maps each query to its mask bit."""
+    if isinstance(tree, TreeLeaf):
+        return tree.verdict
+    q0, q1 = tree.queries
+    return (bit[q0], bit[q1], *(_mask_tree(tree.edge(case), bit) for case in CASE_ORDER))
+
+
+def _mask_verdict(node: MaskTree, mask: int) -> bool:
+    """`tree_verdict` of the compiled tree under the oracle whose members are `mask`."""
+    while type(node) is tuple:
+        bit0, bit1, fix_true, fix_false, accept_both, reject_both = node
+        if mask & bit0:
+            node = accept_both if mask & bit1 else fix_true
+        else:
+            node = fix_false if mask & bit1 else reject_both
+    return node
+
+
 def check_positivity_exhaustive(
     formula: Formula, program: MachineProgram = STANDARD_PROGRAM
 ) -> PositivityReport:
@@ -159,13 +191,11 @@ def check_positivity_sampled(
     tree = build_query_tree(formula, program)
     universe = tree_queries(tree)
     elements = sorted_universe(universe)
-    bit = {q: 1 << i for i, q in enumerate(elements)}
+    compiled = _mask_tree(tree, {q: 1 << i for i, q in enumerate(elements)})
     rng = random.Random(seed)
     for k in range(samples):
         small, large = sample_subset_masks(len(elements), rng)
-        if tree_verdict(tree, lambda q: small & bit[q]) and not tree_verdict(
-            tree, lambda q: large & bit[q]
-        ):
+        if _mask_verdict(compiled, small) and not _mask_verdict(compiled, large):
             return PositivityReport(
                 formula=text,
                 mode="sampled",

@@ -245,6 +245,37 @@ class TestVerifyPositivity:
         assert code == 2
         assert "--samples" in err
 
+    def test_universe_beyond_the_exhaustive_bound_keeps_the_hint(self, capsys):
+        text = "(((x1|x2)&(x3|x4))&(x5|x6))"  # 6 variables, universe 126
+        code, out, err = run_cli(capsys, "verify-positivity", text)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: query universe has 126 elements, exceeding the exhaustive bound 12; "
+            "use --samples for universes beyond 12\n"
+        )
+        code, out, _ = run_cli(capsys, "verify-positivity", text, "--samples", "50", "--seed", "1")
+        assert code == 0 and out.startswith(f"OK {text} mode=sampled")
+
+    @pytest.mark.parametrize("mode", [[], ["--samples", "50", "--seed", "1"]])
+    def test_formula_beyond_the_tree_bound_gets_no_sampling_hint(self, capsys, mode):
+        code, out, err = run_cli(capsys, "verify-positivity", "(x1&x11)", *mode)
+        assert (code, out) == (2, "")
+        assert err == "error: formula has 11 variables, exceeding the tree bound 10\n"
+
+    def test_corpus_exhaustive_skips_by_the_bound_that_was_hit(self, capsys, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_text("x1\n(x1&x11)\n(((x1|x2)&(x3|x4))&(x5|x6))\n!x2\n")
+        code, out, err = run_cli(capsys, "verify-positivity", "--corpus", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            "skipped (x1&x11) (more than 10 variables)",
+            "skipped (((x1|x2)&(x3|x4))&(x5|x6)) "
+            "(universe beyond the exhaustive bound; use --samples)",
+        ]
+        code, out, err = run_cli(capsys, "verify-positivity", "--corpus", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert [report["formula"] for report in json.loads(out)] == ["x1", "!x2"]
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_non_positive_sample_counts_exit_2(self, capsys, samples):
         code, out, err = run_cli(

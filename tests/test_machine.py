@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import any_text, reachable_query_wires, reference_lexmax
-from oddmax.formula import ParseError, num_vars, parse, random_formula, serialize
+from oddmax.formula import (
+    ParseError,
+    num_vars,
+    parse,
+    random_formula,
+    serialize,
+    substitute,
+)
 from oddmax.machine import (
     IterationCase,
     MUTANT_PROGRAMS,
@@ -21,6 +28,7 @@ from oddmax.machine import (
     decide_oddmaxsat,
     query_universe,
     run_machine,
+    tree_to_json,
     tree_verdict,
 )
 import oddmax.oracle
@@ -179,6 +187,26 @@ class TestQueryUniverse:
             query_universe(wide)
 
 
+def reference_build_node(formula, i, n, program):
+    """The tree node as it was built with three substitutes per node: the
+    pinned body, then each continuation substituted afresh."""
+    body = serialize(substitute(formula, i, True))
+    queries = (Query(body, "0"), Query(body, "1"))
+
+    def continuation(value, final):
+        if i == n:
+            return TreeLeaf(final)
+        return reference_build_node(substitute(formula, i, value), i + 1, n, program)
+
+    edges = (
+        (IterationCase.FIX_TRUE, continuation(program.fix_true_value, program.fix_true_final)),
+        (IterationCase.FIX_FALSE, continuation(program.fix_false_value, program.fix_false_final)),
+        (IterationCase.ACCEPT_BOTH, TreeLeaf(program.accept_both_verdict)),
+        (IterationCase.REJECT_BOTH, TreeLeaf(program.reject_both_verdict)),
+    )
+    return TreeNode(i, formula, queries, edges)
+
+
 class TestQueryTree:
     def test_single_variable_tree_is_one_node_with_four_leaves(self):
         tree = build_query_tree(parse("x1"))
@@ -210,6 +238,23 @@ class TestQueryTree:
     def test_bound_exceeded(self):
         with pytest.raises(ValueError):
             build_query_tree(parse("(x1|x11)"))
+
+    @pytest.mark.parametrize(
+        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+        ids=["standard", *MUTANT_PROGRAMS],
+    )
+    def test_equals_the_three_substitute_build(self, program, corpus):
+        built = 0
+        for formula in corpus:
+            n = num_vars(formula)
+            if not 1 <= n <= 8:
+                continue
+            tree = build_query_tree(formula, program)
+            expected = reference_build_node(formula, 1, n, program)
+            assert tree == expected, serialize(formula)
+            assert tree_to_json(tree) == tree_to_json(expected), serialize(formula)
+            built += 1
+        assert built >= 60
 
     def test_runs_trace_root_to_leaf_paths(self, corpus):
         rng = random.Random(42)

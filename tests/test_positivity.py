@@ -6,18 +6,22 @@ import random
 
 import pytest
 
+import oddmax.positivity
 from oddmax.formula import num_vars, parse, serialize
 from oddmax.machine import (
     MUTANT_PROGRAMS,
     MUTANT_SWAP_UNANIMOUS,
     STANDARD_PROGRAM,
+    TREE_BOUND,
     build_query_tree,
     run_machine,
     tree_queries,
     tree_verdict,
 )
-from oddmax.oracle import sorted_universe
+from oddmax.oracle import SUBSET_PAIR_BOUND, mask_subset, sorted_universe
 from oddmax.positivity import (
+    _mask_tree,
+    _mask_verdict,
     check_positivity_exhaustive,
     check_positivity_sampled,
     verify_case_monotonicity,
@@ -140,6 +144,46 @@ class TestSampled:
                 )
                 expected = reference_sampled(formula, 60, seed, program)
                 assert got == expected, (serialize(formula), seed)
+
+
+class TestMaskTree:
+    """The sampled check's compiled walk against `tree_verdict`."""
+
+    @pytest.mark.parametrize(
+        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+        ids=["standard", *MUTANT_PROGRAMS],
+    )
+    def test_agrees_with_tree_verdict_on_every_mask(self, program, corpus):
+        checked = 0
+        for formula in corpus:
+            if num_vars(formula) > TREE_BOUND:
+                continue
+            tree = build_query_tree(formula, program)
+            elements = sorted_universe(tree_queries(tree))
+            if len(elements) > SUBSET_PAIR_BOUND:
+                continue
+            compiled = _mask_tree(tree, {q: 1 << i for i, q in enumerate(elements)})
+            for mask in range(1 << len(elements)):
+                expected = tree_verdict(tree, mask_subset(elements, mask).__contains__)
+                assert _mask_verdict(compiled, mask) == expected, (serialize(formula), mask)
+                checked += 1
+        assert checked > 4000
+
+    def test_sampled_check_never_walks_the_query_tree(self, monkeypatch):
+        calls = []
+        original = oddmax.positivity.tree_verdict
+
+        def counting(tree, oracle):
+            calls.append(tree)
+            return original(tree, oracle)
+
+        monkeypatch.setattr(oddmax.positivity, "tree_verdict", counting)
+        report = check_positivity_sampled(parse("((x1|x2)&(x3|x4))"), samples=500, seed=5)
+        assert report.ok and report.pairs_checked == 500
+        assert calls == []
+        # The wrapper is live: the exhaustive sweep still walks the tree.
+        assert check_positivity_exhaustive(parse("x1")).ok
+        assert len(calls) == 4
 
 
 class TestMutantReality:
