@@ -13,11 +13,20 @@ Grammar accepted by :func:`parse`::
 
 Unparenthesized operator chains associate to the left. Digits are ASCII,
 and variable indices stop at ``MAX_VAR_INDEX``.
+
+:func:`parse` is one loop over regex tokens (a variable with its digits, or
+one character). It keeps the open "|" and "&" chains and the pending "!"s of
+each open parenthesis on an explicit stack, so nesting depth costs no
+recursion. The leaves ``Var(1)`` .. ``Var(MAX_VAR_INDEX)``, ``TRUE`` and
+``FALSE`` are built once at import: parse, substitute and the SAT layer's
+constant folding return these shared objects instead of building new ones.
+The AST walkers dispatch on ``type(node) is C``.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -32,7 +41,7 @@ MAX_VAR_INDEX = 100
 Assignment = tuple[bool, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     index: int
 
@@ -41,26 +50,34 @@ class Var:
             raise ValueError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: bool
+
+
+#: The shared constant leaves.
+TRUE, FALSE = Const(True), Const(False)
+
+#: Every leaf parse can return, keyed by its text.
+_LEAVES: dict[str, Formula] = {"0": FALSE, "1": TRUE}
+_LEAVES.update((f"x{i}", Var(i)) for i in range(1, MAX_VAR_INDEX + 1))
 
 
 class ParseError(ValueError):
@@ -77,67 +94,67 @@ def parse(text: str) -> Formula:
     The grammar is strict: no whitespace, no trailing characters. Variable
     indices above MAX_VAR_INDEX are rejected like malformed text.
     """
-    ast, pos = _parse_or(text, 0)
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    return ast
-
-
-def _parse_or(text: str, pos: int) -> tuple[Formula, int]:
-    node, pos = _parse_and(text, pos)
-    while pos < len(text) and text[pos] == "|":
-        right, pos = _parse_and(text, pos + 1)
-        node = Or(node, right)
-    return node, pos
-
-
-def _parse_and(text: str, pos: int) -> tuple[Formula, int]:
-    node, pos = _parse_lit(text, pos)
-    while pos < len(text) and text[pos] == "&":
-        right, pos = _parse_lit(text, pos + 1)
-        node = And(node, right)
-    return node, pos
-
-
-def _parse_lit(text: str, pos: int) -> tuple[Formula, int]:
-    if pos >= len(text):
-        raise ParseError("unexpected end of input", pos)
-    ch = text[pos]
-    if ch == "!":
-        child, pos = _parse_lit(text, pos + 1)
-        return Not(child), pos
-    if ch == "(":
-        node, pos = _parse_or(text, pos + 1)
-        if pos >= len(text) or text[pos] != ")":
+    frames: list[tuple[Formula | None, Formula | None, int]] = []
+    or_node: Formula | None = None  # the open "|" chain, left-associated
+    and_node: Formula | None = None  # the open "&" chain, left-associated
+    nots = 0  # "!"s waiting for the next literal
+    want_literal = True
+    pos = 0
+    for token in _TOKEN.findall(text):
+        if want_literal:
+            if token == "!":
+                nots += 1
+            elif token == "(":
+                frames.append((or_node, and_node, nots))
+                or_node = and_node = None
+                nots = 0
+            else:
+                node = _LEAVES.get(token)
+                if node is None:
+                    raise _literal_error(token, pos)
+                for _ in range(nots):
+                    node = Not(node)
+                nots = 0
+                and_node = node if and_node is None else And(and_node, node)
+                want_literal = False
+        elif token == "&":
+            want_literal = True
+        elif token == "|":
+            or_node = and_node if or_node is None else Or(or_node, and_node)
+            and_node = None
+            want_literal = True
+        elif token == ")" and frames:
+            node = and_node if or_node is None else Or(or_node, and_node)
+            or_node, and_node, nots = frames.pop()
+            for _ in range(nots):
+                node = Not(node)
+            nots = 0
+            and_node = node if and_node is None else And(and_node, node)
+        elif frames:
             raise ParseError("expected ')'", pos)
-        return node, pos + 1
-    if ch == "0":
-        return Const(False), pos + 1
-    if ch == "1":
-        return Const(True), pos + 1
-    if ch == "x":
-        return _parse_var(text, pos)
-    raise ParseError(f"unexpected character {ch!r}", pos)
+        else:
+            raise ParseError(f"unexpected character {token[0]!r}", pos)
+        pos += len(token)
+    if want_literal:
+        raise ParseError("unexpected end of input", pos)
+    if frames:
+        raise ParseError("expected ')'", pos)
+    return and_node if or_node is None else Or(or_node, and_node)
 
 
-_DIGITS = frozenset("0123456789")
-_INDEX_WIDTH = len(str(MAX_VAR_INDEX))
+#: A variable with its ASCII digits, or any other single character.
+_TOKEN = re.compile(r"x[0-9]*|[\s\S]")
 
 
-def _parse_var(text: str, pos: int) -> tuple[Formula, int]:
-    start = pos + 1
-    if start >= len(text) or text[start] not in _DIGITS:
-        raise ParseError("expected variable index after 'x'", start)
-    if text[start] == "0":
-        raise ParseError("variable index must be >= 1", start)
-    end = start
-    while end < len(text) and text[end] in _DIGITS:
-        end += 1
-    # Compare lengths first: int() of a huge digit string is slow or refused.
-    index = int(text[start:end]) if end - start <= _INDEX_WIDTH else MAX_VAR_INDEX + 1
-    if index > MAX_VAR_INDEX:
-        raise ParseError(f"variable index exceeds {MAX_VAR_INDEX}", start)
-    return Var(index), end
+def _literal_error(token: str, pos: int) -> ParseError:
+    # `token` stands where a literal must start and is no leaf's text.
+    if token == "x":
+        return ParseError("expected variable index after 'x'", pos + 1)
+    if token.startswith("x0"):
+        return ParseError("variable index must be >= 1", pos + 1)
+    if token.startswith("x"):
+        return ParseError(f"variable index exceeds {MAX_VAR_INDEX}", pos + 1)
+    return ParseError(f"unexpected character {token!r}", pos)
 
 
 def serialize(formula: Formula) -> str:
@@ -145,15 +162,16 @@ def serialize(formula: Formula) -> str:
 
     Injective on ASTs; parse(serialize(f)) == f.
     """
-    if isinstance(formula, Var):
+    kind = type(formula)
+    if kind is Var:
         return f"x{formula.index}"
-    if isinstance(formula, Const):
+    if kind is Const:
         return "1" if formula.value else "0"
-    if isinstance(formula, Not):
+    if kind is Not:
         return "!" + serialize(formula.child)
-    if isinstance(formula, And):
+    if kind is And:
         return f"({serialize(formula.left)}&{serialize(formula.right)})"
-    if isinstance(formula, Or):
+    if kind is Or:
         return f"({serialize(formula.left)}|{serialize(formula.right)})"
     raise TypeError(f"not a formula node: {formula!r}")
 
@@ -164,11 +182,12 @@ def num_vars(formula: Formula) -> int:
     Unused indices below the maximum count as free variables, so a formula
     mentioning only x1 and x3 is treated as a formula on three variables.
     """
-    if isinstance(formula, Var):
+    kind = type(formula)
+    if kind is Var:
         return formula.index
-    if isinstance(formula, Const):
+    if kind is Const:
         return 0
-    if isinstance(formula, Not):
+    if kind is Not:
         return num_vars(formula.child)
     return max(num_vars(formula.left), num_vars(formula.right))
 
@@ -182,22 +201,23 @@ def substitute(formula: Formula, index: int, value: bool) -> Formula:
     """
     if index < 1:
         raise ValueError(f"variable index must be >= 1, got {index}")
-    return _substitute(formula, index, Const(value))
+    return _substitute(formula, index, TRUE if value else FALSE)
 
 
 def _substitute(formula: Formula, index: int, replacement: Const) -> Formula:
-    if isinstance(formula, Var):
+    kind = type(formula)
+    if kind is Var:
         return replacement if formula.index == index else formula
-    if isinstance(formula, Const):
+    if kind is Const:
         return formula
-    if isinstance(formula, Not):
+    if kind is Not:
         child = _substitute(formula.child, index, replacement)
         return formula if child is formula.child else Not(child)
     left = _substitute(formula.left, index, replacement)
     right = _substitute(formula.right, index, replacement)
     if left is formula.left and right is formula.right:
         return formula
-    return And(left, right) if isinstance(formula, And) else Or(left, right)
+    return kind(left, right)
 
 
 def evaluate(formula: Formula, assignment: Sequence[bool]) -> bool:
@@ -211,13 +231,14 @@ def evaluate(formula: Formula, assignment: Sequence[bool]) -> bool:
 
 
 def _evaluate(formula: Formula, assignment: Sequence[bool]) -> bool:
-    if isinstance(formula, Var):
+    kind = type(formula)
+    if kind is Var:
         return bool(assignment[formula.index - 1])
-    if isinstance(formula, Const):
+    if kind is Const:
         return formula.value
-    if isinstance(formula, Not):
+    if kind is Not:
         return not _evaluate(formula.child, assignment)
-    if isinstance(formula, And):
+    if kind is And:
         return _evaluate(formula.left, assignment) and _evaluate(formula.right, assignment)
     return _evaluate(formula.left, assignment) or _evaluate(formula.right, assignment)
 

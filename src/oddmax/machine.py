@@ -174,15 +174,13 @@ def run_machine(
             verdict = program.reject_both_verdict
             break
         if case is IterationCase.FIX_TRUE:
-            if i == n:
-                verdict = program.fix_true_final
-                break
-            current = substitute(current, i, program.fix_true_value)
+            final, value = program.fix_true_final, program.fix_true_value
         else:
-            if i == n:
-                verdict = program.fix_false_final
-                break
-            current = substitute(current, i, program.fix_false_value)
+            final, value = program.fix_false_final, program.fix_false_value
+        if i == n:
+            verdict = final
+            break
+        current = pinned if value else substitute(current, i, False)
     return Transcript(text, True, tuple(iterations), verdict)
 
 

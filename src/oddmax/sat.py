@@ -10,6 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .formula import (
+    FALSE,
+    TRUE,
     And,
     Assignment,
     Const,
@@ -23,8 +25,6 @@ from .formula import (
 #: Largest variable count swept as a truth table (2^n assignments): the
 #: limit of sat_bruteforce and the point where lexmax turns greedy.
 BRUTEFORCE_BOUND = 20
-
-_TRUE, _FALSE = Const(True), Const(False)
 
 
 def sat_bruteforce(formula: Formula) -> bool:
@@ -46,13 +46,14 @@ def _truth_table(formula: Formula, n: int) -> int:
 
 def _table(formula: Formula, n: int, full: int) -> int:
     # `full` is the all-ones mask over the 2^n columns, built once per table.
-    if isinstance(formula, Var):
+    kind = type(formula)
+    if kind is Var:
         return _var_column(n - formula.index, n)
-    if isinstance(formula, Const):
+    if kind is Const:
         return full if formula.value else 0
-    if isinstance(formula, Not):
+    if kind is Not:
         return full ^ _table(formula.child, n, full)
-    if isinstance(formula, And):
+    if kind is And:
         return _table(formula.left, n, full) & _table(formula.right, n, full)
     return _table(formula.left, n, full) | _table(formula.right, n, full)
 
@@ -78,34 +79,36 @@ def _assign(formula: Formula, index: int, value: Const) -> Formula:
     Subtrees with neither x_index nor a constant come back as the same
     objects. Index 0 matches no variable: _assign(formula, 0, value) only folds.
     """
-    if isinstance(formula, Var):
+    kind = type(formula)
+    if kind is Var:
         return value if formula.index == index else formula
-    if isinstance(formula, Const):
+    if kind is Const:
         return formula
-    if isinstance(formula, Not):
+    if kind is Not:
         child = _assign(formula.child, index, value)
-        if isinstance(child, Const):
-            return Const(not child.value)
+        if type(child) is Const:
+            return FALSE if child.value else TRUE
         return formula if child is formula.child else Not(child)
     left = _assign(formula.left, index, value)
     right = _assign(formula.right, index, value)
-    is_or = isinstance(formula, Or)  # True absorbs an Or, False an And
-    if isinstance(left, Const):
+    is_or = kind is Or  # True absorbs an Or, False an And
+    if type(left) is Const:
         return left if left.value == is_or else right
-    if isinstance(right, Const):
+    if type(right) is Const:
         return right if right.value == is_or else left
     if left is formula.left and right is formula.right:
         return formula
-    return Or(left, right) if is_or else And(left, right)
+    return kind(left, right)
 
 
 def _min_var(formula: Formula) -> int:
     # Lowest variable index, or 0 when the formula holds a constant.
-    if isinstance(formula, Var):
+    kind = type(formula)
+    if kind is Var:
         return formula.index
-    if isinstance(formula, Const):
+    if kind is Const:
         return 0
-    if isinstance(formula, Not):
+    if kind is Not:
         return _min_var(formula.child)
     return min(_min_var(formula.left), _min_var(formula.right))
 
@@ -118,12 +121,12 @@ def sat_dpll(formula: Formula) -> bool:
     """
     index = _min_var(formula)
     if index == 0:  # only the caller's formula can hold unfolded constants
-        formula = _assign(formula, 0, _TRUE)
-        if isinstance(formula, Const):
+        formula = _assign(formula, 0, TRUE)
+        if type(formula) is Const:
             return formula.value
         index = _min_var(formula)
-    return sat_dpll(_assign(formula, index, _TRUE)) or sat_dpll(
-        _assign(formula, index, _FALSE)
+    return sat_dpll(_assign(formula, index, TRUE)) or sat_dpll(
+        _assign(formula, index, FALSE)
     )
 
 
@@ -153,12 +156,12 @@ def lexmax_greedy(formula: Formula) -> Assignment | None:
     bits: list[bool] = []
     current = formula
     for i in range(1, n + 1):
-        pinned_true = _assign(current, i, _TRUE)
+        pinned_true = _assign(current, i, TRUE)
         if sat_dpll(pinned_true):
             current = pinned_true
             bits.append(True)
         else:
-            current = _assign(current, i, _FALSE)
+            current = _assign(current, i, FALSE)
             bits.append(False)
     return tuple(bits)
 

@@ -13,8 +13,9 @@ from oddmax.corpus import curated_corpus
 from oddmax.formula import Formula, evaluate, num_vars, serialize, substitute
 
 #: Longest text `any_text` draws. Text this short nests at most this deep,
-#: well inside the interpreter's recursion limit; deeper input still
-#: overflows the recursive parser and walkers (ROADMAP item 4).
+#: well inside the interpreter's recursion limit; the parser takes any depth,
+#: but deeper input still overflows the recursive AST walkers, which the
+#: round-trip properties call through `serialize` (ROADMAP item 3).
 SHALLOW_TEXT = 150
 
 #: Input strings of at most SHALLOW_TEXT characters, weighted toward the

@@ -101,6 +101,10 @@ class TestDecide:
         assert "FIX_TRUE" in lines[1] and "FIX_TRUE" in lines[2]
         assert "(!1|x2)0=yes" in lines[1]
 
+    def test_deep_parentheses_are_one_variable(self, capsys):
+        code, out, _ = run_cli(capsys, "decide", "(" * 5000 + "x1" + ")" * 5000)
+        assert (code, out.strip()) == (0, "accept")
+
     def test_parse_error_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "decide", "x0")
         assert code == 2

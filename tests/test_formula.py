@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import any_text
+from oddmax import formula as formula_module
 from oddmax.formula import (
     MAX_VAR_INDEX,
     And,
@@ -21,6 +24,7 @@ from oddmax.formula import (
     serialize,
     substitute,
 )
+from oddmax.sat import _assign
 
 leaves = st.one_of(
     st.builds(Var, st.integers(min_value=1, max_value=6)),
@@ -73,6 +77,134 @@ class TestParse:
             parse("(x1&x0)")
         assert excinfo.value.position == 5
         assert "position 5" in str(excinfo.value)
+
+
+def reference_parse(text: str):
+    """The recursive-descent parser the token loop replaced, kept as the
+    reference the loop must match on every input."""
+    ast, pos = _ref_or(text, 0)
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return ast
+
+
+def _ref_or(text, pos):
+    node, pos = _ref_and(text, pos)
+    while pos < len(text) and text[pos] == "|":
+        right, pos = _ref_and(text, pos + 1)
+        node = Or(node, right)
+    return node, pos
+
+
+def _ref_and(text, pos):
+    node, pos = _ref_lit(text, pos)
+    while pos < len(text) and text[pos] == "&":
+        right, pos = _ref_lit(text, pos + 1)
+        node = And(node, right)
+    return node, pos
+
+
+def _ref_lit(text, pos):
+    if pos >= len(text):
+        raise ParseError("unexpected end of input", pos)
+    ch = text[pos]
+    if ch == "!":
+        child, pos = _ref_lit(text, pos + 1)
+        return Not(child), pos
+    if ch == "(":
+        node, pos = _ref_or(text, pos + 1)
+        if pos >= len(text) or text[pos] != ")":
+            raise ParseError("expected ')'", pos)
+        return node, pos + 1
+    if ch == "0":
+        return Const(False), pos + 1
+    if ch == "1":
+        return Const(True), pos + 1
+    if ch == "x":
+        start = pos + 1
+        digits = "0123456789"
+        if start >= len(text) or text[start] not in digits:
+            raise ParseError("expected variable index after 'x'", start)
+        if text[start] == "0":
+            raise ParseError("variable index must be >= 1", start)
+        end = start
+        while end < len(text) and text[end] in digits:
+            end += 1
+        width = len(str(MAX_VAR_INDEX))
+        index = int(text[start:end]) if end - start <= width else MAX_VAR_INDEX + 1
+        if index > MAX_VAR_INDEX:
+            raise ParseError(f"variable index exceeds {MAX_VAR_INDEX}", start)
+        return Var(index), end
+    raise ParseError(f"unexpected character {ch!r}", pos)
+
+
+def parse_outcome(parser, text):
+    """The AST, or the ParseError's message and position."""
+    try:
+        return parser(text)
+    except ParseError as error:
+        return (str(error), error.position)
+
+
+class TestParserReference:
+    ALPHABET = "x!()&|01293 a\n"
+
+    def reference_texts(self):
+        rng = random.Random(2024)
+        texts = ["x\u00b2", "x1\u00b2", "x\u0661"]
+        for seed in range(200):
+            n = MAX_VAR_INDEX if seed % 10 == 0 else rng.randint(1, 12)
+            canonical = serialize(random_formula(seed, n, rng.randint(1, 14)))
+            texts.append(canonical)
+            for i in range(len(canonical)):
+                texts.append(canonical[:i] + canonical[i + 1:])
+                texts.extend(
+                    canonical[:i] + ch + canonical[i + 1:] for ch in self.ALPHABET
+                )
+        for _ in range(20_000):
+            texts.append("".join(rng.choices(self.ALPHABET, k=rng.randint(0, 12))))
+        # Well-formed text with the unparenthesized chains, mixed precedence
+        # and redundant parentheses that canonical text lacks, and each with
+        # one character deleted.
+        for _ in range(8_000):
+            text = self.surface_text(rng, depth=3)
+            cut = rng.randrange(len(text))
+            texts += [text, text[:cut] + text[cut + 1:]]
+        return texts
+
+    def surface_text(self, rng, depth):
+        parts = []
+        for k in range(rng.randint(1, 3)):
+            if k:
+                parts.append(rng.choice("&|"))
+            parts.append("!" * rng.choice([0, 0, 1, 2]))
+            if depth and rng.randrange(3) == 0:
+                parts.append(f"({self.surface_text(rng, depth - 1)})")
+            else:
+                parts.append(rng.choice(["x1", "x2", "x10", "0", "1"]))
+        return "".join(parts)
+
+    def test_matches_the_recursive_descent_parser(self):
+        texts = self.reference_texts()
+        assert len(texts) >= 60_000
+        for text in texts:
+            assert parse_outcome(parse, text) == parse_outcome(reference_parse, text), repr(text)
+
+    def test_deep_parentheses_do_not_recurse(self):
+        assert parse("(" * 10_000 + "x1" + ")" * 10_000) == Var(1)
+
+
+class TestSharedLeaves:
+    def test_parse_substitute_and_folding_return_the_shared_leaves(self):
+        formula = parse("(x3|!x3)")
+        assert formula.left is formula.right.child is parse("x3")
+        true, false = formula_module.TRUE, formula_module.FALSE
+        assert parse("1") is true and parse("0") is false
+        pinned = substitute(formula, 3, True)
+        assert pinned.left is pinned.right.child is true
+        assert substitute(Var(2), 2, False) is false
+        assert _assign(Not(Var(1)), 1, true) is false
+        assert _assign(Not(And(Var(1), Var(2))), 2, false) is true
 
 
 class TestLimits:

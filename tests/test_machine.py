@@ -17,10 +17,14 @@ from oddmax.formula import (
     serialize,
     substitute,
 )
+from oddmax.corpus import random_corpus
 from oddmax.machine import (
+    Iteration,
     IterationCase,
     MUTANT_PROGRAMS,
     STANDARD_PROGRAM,
+    QueryRecord,
+    Transcript,
     TreeLeaf,
     TreeNode,
     build_query_tree,
@@ -100,6 +104,55 @@ class TestRunMachine:
             "tag": "0",
             "answer": True,
         }
+
+
+def reference_run_machine(text, oracle, program):
+    """The loop as it ran before continuations reused the pinned formula:
+    every continuation substitutes again."""
+    try:
+        formula = parse(text)
+    except ParseError:
+        return Transcript(text, False, (), False)
+    n = num_vars(formula)
+    iterations = []
+    current = formula
+    verdict = False
+    for i in range(1, n + 1):
+        body = serialize(substitute(current, i, True))
+        q0, q1 = Query(body, "0"), Query(body, "1")
+        ans0, ans1 = oracle(q0), oracle(q1)
+        case = classify_case(ans0, ans1)
+        iterations.append(Iteration(i, (QueryRecord(q0, ans0), QueryRecord(q1, ans1)), case))
+        if case is IterationCase.ACCEPT_BOTH:
+            verdict = program.accept_both_verdict
+            break
+        if case is IterationCase.REJECT_BOTH:
+            verdict = program.reject_both_verdict
+            break
+        if case is IterationCase.FIX_TRUE:
+            if i == n:
+                verdict = program.fix_true_final
+                break
+            current = substitute(current, i, program.fix_true_value)
+        else:
+            if i == n:
+                verdict = program.fix_false_final
+                break
+            current = substitute(current, i, program.fix_false_value)
+    return Transcript(text, True, tuple(iterations), verdict)
+
+
+class TestReusedPin:
+    @pytest.mark.parametrize(
+        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+        ids=["standard", *MUTANT_PROGRAMS],
+    )
+    def test_equals_the_substituting_loop(self, program, corpus):
+        formulas = corpus + random_corpus(500, max_vars=8, size=25, seed=88)
+        for formula in formulas:
+            text = serialize(formula)
+            expected = reference_run_machine(text, sat_join_cosat, program)
+            assert run_machine(text, sat_join_cosat, program).to_json() == expected.to_json(), text
 
 
 class TestBodyMemo:
