@@ -13,7 +13,7 @@ import random
 import sys
 from typing import Sequence
 
-from .corpus import CorpusError, load_corpus, random_corpus
+from .corpus import load_corpus, random_corpus
 from .formula import Formula, ParseError, assignment_bits, num_vars, parse, serialize
 from .machine import (
     TREE_BOUND,
@@ -174,7 +174,7 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
             batch = load_corpus(args.corpus)
         else:
             batch = [parse(args.formula)]
-    except (CorpusError, ParseError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CorpusError and ParseError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

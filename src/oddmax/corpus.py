@@ -36,7 +36,11 @@ def parse_corpus(text: str) -> list[Formula]:
 
 
 def load_corpus(path: str | Path) -> list[Formula]:
-    return parse_corpus(Path(path).read_text())
+    """The formulas of a corpus file; ValueError if it holds none."""
+    formulas = parse_corpus(Path(path).read_text())
+    if not formulas:
+        raise ValueError(f"corpus {path} holds no formulas")
+    return formulas
 
 
 def curated_corpus() -> list[Formula]:

@@ -17,10 +17,11 @@ and variable indices stop at ``MAX_VAR_INDEX``.
 :func:`parse` is one loop over regex tokens (a variable with its digits, or
 one character). It keeps the open "|" and "&" chains and the pending "!"s of
 each open parenthesis on an explicit stack, so nesting depth costs no
-recursion. The leaves ``Var(1)`` .. ``Var(MAX_VAR_INDEX)``, ``TRUE`` and
-``FALSE`` are built once at import: parse, substitute and the SAT layer's
-constant folding return these shared objects instead of building new ones.
-The AST walkers dispatch on ``type(node) is C``.
+recursion, and computes a token's offset only for a ParseError. The leaves
+``Var(1)`` .. ``Var(MAX_VAR_INDEX)``, ``TRUE`` and ``FALSE`` are built once
+at import: parse, substitute and the SAT layer's constant folding return
+these shared objects instead of building new ones. The AST walkers dispatch
+on ``type(node) is C``.
 """
 
 from __future__ import annotations
@@ -99,24 +100,24 @@ def parse(text: str) -> Formula:
     and_node: Formula | None = None  # the open "&" chain, left-associated
     nots = 0  # "!"s waiting for the next literal
     want_literal = True
-    pos = 0
-    for token in _TOKEN.findall(text):
+    tokens = _TOKEN.findall(text)
+    for k, token in enumerate(tokens):
         if want_literal:
-            if token == "!":
+            node = _LEAVES.get(token)
+            if node is not None:
+                while nots:
+                    node = Not(node)
+                    nots -= 1
+                and_node = node if and_node is None else And(and_node, node)
+                want_literal = False
+            elif token == "!":
                 nots += 1
             elif token == "(":
                 frames.append((or_node, and_node, nots))
                 or_node = and_node = None
                 nots = 0
             else:
-                node = _LEAVES.get(token)
-                if node is None:
-                    raise _literal_error(token, pos)
-                for _ in range(nots):
-                    node = Not(node)
-                nots = 0
-                and_node = node if and_node is None else And(and_node, node)
-                want_literal = False
+                raise _literal_error(token, _offset(tokens, k))
         elif token == "&":
             want_literal = True
         elif token == "|":
@@ -126,24 +127,27 @@ def parse(text: str) -> Formula:
         elif token == ")" and frames:
             node = and_node if or_node is None else Or(or_node, and_node)
             or_node, and_node, nots = frames.pop()
-            for _ in range(nots):
+            while nots:
                 node = Not(node)
-            nots = 0
+                nots -= 1
             and_node = node if and_node is None else And(and_node, node)
         elif frames:
-            raise ParseError("expected ')'", pos)
+            raise ParseError("expected ')'", _offset(tokens, k))
         else:
-            raise ParseError(f"unexpected character {token[0]!r}", pos)
-        pos += len(token)
+            raise ParseError(f"unexpected character {token[0]!r}", _offset(tokens, k))
     if want_literal:
-        raise ParseError("unexpected end of input", pos)
+        raise ParseError("unexpected end of input", len(text))
     if frames:
-        raise ParseError("expected ')'", pos)
+        raise ParseError("expected ')'", len(text))
     return and_node if or_node is None else Or(or_node, and_node)
 
 
 #: A variable with its ASCII digits, or any other single character.
 _TOKEN = re.compile(r"x[0-9]*|[\s\S]")
+
+
+def _offset(tokens: list[str], k: int) -> int:
+    return sum(map(len, tokens[:k]))
 
 
 def _literal_error(token: str, pos: int) -> ParseError:

@@ -2,8 +2,10 @@
 tagged queries per variable, plus transcripts of single runs and the tree of
 all runs over all possible oracle answers.
 
-On a formula with variables x_1..x_n, iteration i serializes the formula
-with x_i pinned true and sends that body under tag '0' and tag '1'. A yes/no
+On a formula with variables x_1..x_n, iteration i sends the formula with x_i
+pinned true under tag '0' and tag '1'. Its body is the input's canonical
+text with '1' or '0' written over the tokens of x_1..x_i: the very string
+serialize(substitute(...)) gives for those pins, built with no new AST. A yes/no
 answer pair pins x_i true, no/yes pins it false, yes/yes accepts outright,
 no/no rejects outright; at i = n the pin-true case accepts and the pin-false
 case rejects. Strings that fail to parse are rejected without any queries,
@@ -13,11 +15,14 @@ as are constant formulas, which have no variables to pin.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, replace
 from typing import Mapping, Union
 
 from .formula import Formula, ParseError, num_vars, parse, serialize, substitute
 from .oracle import Oracle, Query, sat_join_cosat
+
+_VARIABLE = re.compile(r"(x[0-9]+)")  # a variable token, kept by re.split
 
 #: Largest variable count for full tree expansion and query universes.
 TREE_BOUND = 10
@@ -154,13 +159,18 @@ def run_machine(
         formula = parse(text)
     except ParseError:
         return Transcript(text, False, (), False)
-    n = num_vars(formula)
+    pieces = _VARIABLE.split(serialize(formula))  # odd pieces are variable tokens
+    places: dict[int, list[int]] = {}
+    for k in range(1, len(pieces), 2):
+        places.setdefault(int(pieces[k][1:]), []).append(k)
+    n = max(places, default=0)
     iterations: list[Iteration] = []
-    current = formula
     verdict = False  # a constant formula never enters the loop: reject
     for i in range(1, n + 1):
-        pinned = substitute(current, i, True)
-        body = serialize(pinned)
+        slots = places.get(i, ())
+        for k in slots:
+            pieces[k] = "1"
+        body = "".join(pieces)
         q0, q1 = Query(body, "0"), Query(body, "1")
         ans0, ans1 = oracle(q0), oracle(q1)
         case = classify_case(ans0, ans1)
@@ -180,7 +190,9 @@ def run_machine(
         if i == n:
             verdict = final
             break
-        current = pinned if value else substitute(current, i, False)
+        if not value:
+            for k in slots:
+                pieces[k] = "0"
     return Transcript(text, True, tuple(iterations), verdict)
 
 

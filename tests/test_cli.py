@@ -178,6 +178,14 @@ class TestVerifyEquivalence:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("content", ["", "# comments only\n\n   # and blanks\n"])
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_empty_corpus_exits_2(self, capsys, tmp_path, content, flags):
+        path = tmp_path / "empty.txt"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "verify-equivalence", "--corpus", str(path), *flags)
+        assert (code, out, err) == (2, "", f"error: corpus {path} holds no formulas\n")
+
     def test_random_batch_is_seed_replayable(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-equivalence", "--random", "100", "--seed", "7"
@@ -300,6 +308,26 @@ class TestVerifyPositivity:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "tree bound" in err
+
+    @pytest.mark.parametrize("content", ["", "# comments only\n\n"])
+    @pytest.mark.parametrize(
+        "flags",
+        [(), ("--json",), ("--samples", "5"), ("--samples", "5", "--json"),
+         ("--samples", "5", "--seed", "1")],
+    )
+    def test_empty_corpus_exits_2_before_drawing_a_seed(self, capsys, tmp_path, content, flags):
+        path = tmp_path / "empty.txt"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "verify-positivity", "--corpus", str(path), *flags)
+        assert (code, out, err) == (2, "", f"error: corpus {path} holds no formulas\n")
+
+    @pytest.mark.parametrize("mode", [(), ("--samples", "5", "--seed", "1")])
+    def test_corpus_of_skipped_formulas_still_exits_0(self, capsys, tmp_path, mode):
+        path = tmp_path / "beyond.txt"
+        path.write_text("(x1&x11)\n")
+        argv = ("verify-positivity", "--corpus", str(path), *mode)
+        assert run_cli(capsys, *argv) == (0, "skipped (x1&x11) (more than 10 variables)\n", "")
+        assert run_cli(capsys, *argv, "--json") == (0, "[]\n", "")
 
     def test_drawn_seed_leads_the_report_and_replays_it(self, capsys):
         code, out, _ = run_cli(capsys, "verify-positivity", "(x1&x2)", "--samples", "50")

@@ -43,6 +43,13 @@ class TestParseCorpus:
         path.write_text("x1\n(x1&x2)\n")
         assert len(load_corpus(path)) == 2
 
+    def test_load_corpus_refuses_a_file_without_formulas(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# nothing here\n\n")
+        with pytest.raises(ValueError, match="holds no formulas"):
+            load_corpus(path)
+        assert parse_corpus(path.read_text()) == []
+
 
 class TestCuratedCorpus:
     def test_is_large_enough(self, corpus):

@@ -10,7 +10,11 @@ from hypothesis import given, settings
 
 from conftest import any_text, reachable_query_wires, reference_lexmax
 from oddmax.formula import (
+    And,
+    Const,
+    Not,
     ParseError,
+    Var,
     num_vars,
     parse,
     random_formula,
@@ -35,6 +39,7 @@ from oddmax.machine import (
     tree_to_json,
     tree_verdict,
 )
+import oddmax.machine
 import oddmax.oracle
 from oddmax.oracle import FiniteOracle, Query, sat_join_cosat
 from oddmax.sat import odd_max_sat_ref
@@ -153,6 +158,77 @@ class TestReusedPin:
             text = serialize(formula)
             expected = reference_run_machine(text, sat_join_cosat, program)
             assert run_machine(text, sat_join_cosat, program).to_json() == expected.to_json(), text
+
+
+def noncanonical_text(formula, rng):
+    """Print an AST as parseable text that is mostly not canonical: binary
+    nodes lose their parentheses or gain redundant ones, and negations stack.
+    The text may parse to a different AST; both loops parse the same text."""
+    kind = type(formula)
+    if kind is Var or kind is Const:
+        text = serialize(formula)
+    elif kind is Not:
+        text = "!" * rng.choice([1, 1, 3]) + noncanonical_text(formula.child, rng)
+    else:
+        op = "&" if kind is And else "|"
+        text = noncanonical_text(formula.left, rng) + op + noncanonical_text(formula.right, rng)
+        if rng.randrange(2):
+            text = f"({text})"
+    return f"({text})" if rng.randrange(6) == 0 else text
+
+
+def hashed_oracle(query):
+    """Answers that reach every case of the table, not only the two pin cases."""
+    return zlib.crc32(query.wire().encode()) % 3 != 0
+
+
+NONCANONICAL_TEXTS = [
+    "x1&x2|x3", "x1|x2&x3", "!x1&!x2|x3&x4", "x3|x1&!x2|x1",
+    "((x1))", "(((x1&x2))|(x3))", "((!(x2)))&x1",
+    "!!x1", "!!!(x1|x2)", "!(!x1&!!x2)",
+    "(1&x1)", "x3|0", "!1|x2&0", "((0|x1)&!1)",
+    "(x1&x5)", "x3", "(x2|!x7)", "x1&x4&x9",
+    "x1&x10&x11", "x2|x20", "x100&x1", "(x10|!x1)&x11", "x12&x1&x2",
+    "1", "0", "(1&!0)", "!!1",
+    "", "x0", "x1&", "(x1", "x101", "zzz", "x1 & x2", "(x1&x2))",
+]
+
+
+class TestTextPinning:
+    """run_machine writes bodies into the input's canonical text; the
+    substituting loop builds and serializes a new AST per iteration."""
+
+    @pytest.mark.parametrize(
+        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+        ids=["standard", *MUTANT_PROGRAMS],
+    )
+    def test_equals_the_substituting_loop_on_noncanonical_text(self, program):
+        rng = random.Random(909)
+        printed = [
+            noncanonical_text(random_formula(seed, rng.randint(1, 12), 25), rng)
+            for seed in range(1000)
+        ]
+        assert sum(text != serialize(parse(text)) for text in printed) > 700
+        for oracle in (sat_join_cosat, hashed_oracle):
+            for text in NONCANONICAL_TEXTS + printed:
+                expected = reference_run_machine(text, oracle, program).to_json()
+                assert run_machine(text, oracle, program).to_json() == expected, text
+
+    def test_one_serialize_and_no_ast_walk_per_run(self, monkeypatch):
+        calls: dict[str, int] = {}
+        for name in ("serialize", "substitute", "num_vars"):
+            original = getattr(oddmax.machine, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(oddmax.machine, name, counting)
+        transcript = run_machine("(((x1|x2)&(x3|!x4))&((x5|x6)&(!x7|x8)))", sat_join_cosat)
+        assert len(transcript.iterations) == 8
+        assert calls.get("serialize", 0) <= 1
+        assert calls.get("substitute", 0) == 0
+        assert calls.get("num_vars", 0) == 0
 
 
 class TestBodyMemo:
