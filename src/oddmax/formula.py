@@ -17,7 +17,11 @@ and variable indices stop at ``MAX_VAR_INDEX``.
 :func:`parse` is one loop over regex tokens (a variable with its digits, or
 one character). It keeps the open "|" and "&" chains and the pending "!"s of
 each open parenthesis on an explicit stack, so nesting depth costs no
-recursion, and computes a token's offset only for a ParseError. The leaves
+recursion, and computes a token's offset only for a ParseError. The loop
+(``_fold``) takes its algebra as arguments: parse folds the tokens into AST
+nodes, and :func:`oddmax.sat.text_satisfiable` folds the same tokens into
+bit-parallel truth-table columns, so both share one grammar and one set of
+error messages and positions. The leaves
 ``Var(1)`` .. ``Var(MAX_VAR_INDEX)``, ``TRUE`` and ``FALSE`` are built once
 at import: parse, substitute and the SAT layer's constant folding return
 these shared objects instead of building new ones. The AST walkers dispatch
@@ -29,7 +33,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 Formula = Union["Var", "Not", "And", "Or", "Const"]
 
@@ -95,20 +99,40 @@ def parse(text: str) -> Formula:
     The grammar is strict: no whitespace, no trailing characters. Variable
     indices above MAX_VAR_INDEX are rejected like malformed text.
     """
-    frames: list[tuple[Formula | None, Formula | None, int]] = []
-    or_node: Formula | None = None  # the open "|" chain, left-associated
-    and_node: Formula | None = None  # the open "&" chain, left-associated
+    return _fold(text, _TOKEN.findall(text), _LEAVES, Not, And, Or)
+
+
+_T = TypeVar("_T")
+
+
+def _fold(
+    text: str,
+    tokens: list[str],
+    leaves: Mapping[str, _T],
+    neg: Callable[[_T], _T],
+    conj: Callable[[_T, _T], _T],
+    disj: Callable[[_T, _T], _T],
+) -> _T:
+    """Fold the grammar over `tokens` (from `_TOKEN.findall(text)`) in one loop.
+
+    `leaves` maps the text of every valid leaf that occurs in `tokens` to its
+    value, and `neg`, `conj` and `disj` combine values as "!", "&" and "|"
+    do; parse passes the AST leaves and node classes. Raises the ParseError
+    parse raises, whatever the algebra.
+    """
+    frames: list[tuple[_T | None, _T | None, int]] = []
+    or_node: _T | None = None  # the open "|" chain, left-associated
+    and_node: _T | None = None  # the open "&" chain, left-associated
     nots = 0  # "!"s waiting for the next literal
     want_literal = True
-    tokens = _TOKEN.findall(text)
     for k, token in enumerate(tokens):
         if want_literal:
-            node = _LEAVES.get(token)
+            node = leaves.get(token)
             if node is not None:
                 while nots:
-                    node = Not(node)
+                    node = neg(node)
                     nots -= 1
-                and_node = node if and_node is None else And(and_node, node)
+                and_node = node if and_node is None else conj(and_node, node)
                 want_literal = False
             elif token == "!":
                 nots += 1
@@ -121,16 +145,16 @@ def parse(text: str) -> Formula:
         elif token == "&":
             want_literal = True
         elif token == "|":
-            or_node = and_node if or_node is None else Or(or_node, and_node)
+            or_node = and_node if or_node is None else disj(or_node, and_node)
             and_node = None
             want_literal = True
         elif token == ")" and frames:
-            node = and_node if or_node is None else Or(or_node, and_node)
+            node = and_node if or_node is None else disj(or_node, and_node)
             or_node, and_node, nots = frames.pop()
             while nots:
-                node = Not(node)
+                node = neg(node)
                 nots -= 1
-            and_node = node if and_node is None else And(and_node, node)
+            and_node = node if and_node is None else conj(and_node, node)
         elif frames:
             raise ParseError("expected ')'", _offset(tokens, k))
         else:
@@ -139,7 +163,7 @@ def parse(text: str) -> Formula:
         raise ParseError("unexpected end of input", len(text))
     if frames:
         raise ParseError("expected ')'", len(text))
-    return and_node if or_node is None else Or(or_node, and_node)
+    return and_node if or_node is None else disj(or_node, and_node)
 
 
 #: A variable with its ASCII digits, or any other single character.

@@ -3,6 +3,11 @@
 Two independent satisfiability routes are kept side by side on purpose:
 :func:`sat_bruteforce` sweeps the full truth table, while :func:`sat_dpll`
 searches by splitting. One checks the other throughout the test suite.
+
+The join oracle asks :func:`text_satisfiable`, which decides formula text
+without building an AST: up to BRUTEFORCE_BOUND distinct variables it folds
+truth-table columns in the parse loop itself, and above that it parses and
+runs sat_dpll.
 """
 
 from __future__ import annotations
@@ -19,7 +24,11 @@ from .formula import (
     Not,
     Or,
     Var,
+    _LEAVES,
+    _TOKEN,
+    _fold,
     num_vars,
+    parse,
 )
 
 #: Largest variable count swept as a truth table (2^n assignments): the
@@ -56,6 +65,29 @@ def _table(formula: Formula, n: int, full: int) -> int:
     if kind is And:
         return _table(formula.left, n, full) & _table(formula.right, n, full)
     return _table(formula.left, n, full) | _table(formula.right, n, full)
+
+
+#: The text of every variable leaf parse accepts.
+_VARIABLE_NAMES = frozenset(_LEAVES) - {"0", "1"}
+
+
+def text_satisfiable(text: str) -> bool:
+    """Satisfiability of formula text; raises ParseError exactly as parse does.
+
+    With m <= BRUTEFORCE_BOUND distinct variables the text is folded once
+    into its 2^m-bit truth table over those variables (an order-free
+    renaming, so satisfiability is unchanged), with no AST and no
+    recursion. Above the bound it is parsed and decided by sat_dpll.
+    """
+    tokens = _TOKEN.findall(text)
+    names = _VARIABLE_NAMES.intersection(tokens)
+    m = len(names)
+    if m > BRUTEFORCE_BOUND:
+        return sat_dpll(parse(text))
+    full = (1 << (1 << m)) - 1
+    leaves = {"0": 0, "1": full}
+    leaves.update((name, _var_column(j, m)) for j, name in enumerate(names))
+    return _fold(text, tokens, leaves, full.__xor__, int.__and__, int.__or__) != 0
 
 
 @lru_cache(maxsize=None)

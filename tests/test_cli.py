@@ -455,6 +455,10 @@ class TestOracle:
         assert code == 0
         assert out == "sat-call: (x1&!x1)\nyes\n"
 
+    def test_deeply_negated_body_is_answered(self, capsys):
+        assert run_cli(capsys, "oracle", "!" * 5000 + "(x1&x2)0")[:2] == (0, "yes\n")
+        assert run_cli(capsys, "oracle", "!" * 5000 + "(x1&x2)1")[:2] == (1, "no\n")
+
     def test_undecodable_string_answers_no(self, capsys):
         assert run_cli(capsys, "oracle", "zz")[:2] == (1, "no\n")
 

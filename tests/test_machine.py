@@ -233,15 +233,17 @@ class TestTextPinning:
 
 class TestBodyMemo:
     def test_each_iteration_costs_one_solver_call(self, monkeypatch):
-        solved: list[object] = []
-        original = oddmax.oracle.sat_dpll
+        solved: list[str] = []
+        searched: list[object] = []
+        original = oddmax.oracle.text_satisfiable
 
-        def counting(formula):
-            solved.append(formula)
-            return original(formula)
+        def counting(text):
+            solved.append(text)
+            return original(text)
 
         oddmax.oracle._body_sat.cache_clear()
-        monkeypatch.setattr(oddmax.oracle, "sat_dpll", counting)
+        monkeypatch.setattr(oddmax.oracle, "text_satisfiable", counting)
+        monkeypatch.setattr(oddmax.sat, "sat_dpll", searched.append)
         text = "((x1|x2)&(!x1|!x3))"
         cold = run_machine(text, sat_join_cosat)
         k = len(cold.iterations)
@@ -250,6 +252,8 @@ class TestBodyMemo:
         warm = run_machine(text, sat_join_cosat)
         assert len(solved) == k
         assert warm.to_json() == cold.to_json()
+        # Three variables are folded as a truth table, never searched.
+        assert searched == []
 
 
 class TestDecide:

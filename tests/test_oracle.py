@@ -11,6 +11,7 @@ from oddmax.formula import num_vars, parse
 from oddmax.machine import query_universe
 from oddmax.oracle import (
     BODY_MEMO_SIZE,
+    TAGS,
     FiniteOracle,
     Query,
     enumerate_subset_pairs,
@@ -82,6 +83,27 @@ class TestSatJoinCosat:
         body = "x99999999"
         assert sat_join_cosat(Query(body, "0")) is False
         assert sat_join_cosat(Query(body, "1")) is False
+
+    @pytest.mark.parametrize(
+        "deep, shallow",
+        [
+            ("!" * 5000 + "(x1&x2)", "(x1&x2)"),
+            ("!" * 5001 + "(x1&x2)", "!(x1&x2)"),
+            ("!" * 5000 + "(x1&!x1)", "(x1&!x1)"),
+            ("(" * 5000 + "x1&!x2" + ")" * 5000, "(x1&!x2)"),
+            ("(" * 5000 + "x1&!x1" + ")" * 5000, "(x1&!x1)"),
+            ("&".join(f"x{1 + k % 15}" for k in range(3000)),
+             "&".join(f"x{i}" for i in range(1, 16))),
+            ("&".join(f"x{1 + k % 15}" for k in range(2999)) + "&!x7",
+             "&".join(f"x{i}" for i in range(1, 16)) + "&!x7"),
+        ],
+        ids=["5000-nots", "5001-nots", "5000-nots-unsat", "5000-parens", "5000-parens-unsat",
+             "3000-chain", "3000-chain-unsat"],
+    )
+    def test_deep_bodies_answer_as_their_shallow_equivalents(self, deep, shallow):
+        body_memo.cache_clear()
+        for tag in TAGS:
+            assert sat_join_cosat(Query(deep, tag)) is sat_join_cosat(Query(shallow, tag))
 
     def test_tags_answer_complementarily_on_formulas(self, corpus):
         # The engine behind the machine only ever seeing the two pin cases.

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given
 
 import oddmax.sat
-from conftest import all_assignments_descending, reference_lexmax, satisfying_assignments
+from conftest import (
+    all_assignments_descending,
+    any_text,
+    reachable_query_wires,
+    reference_lexmax,
+    satisfying_assignments,
+)
+from test_formula import TestParserReference as ParserReference, parse_outcome
 from oddmax.formula import (
     And,
     Const,
@@ -28,6 +38,7 @@ from oddmax.sat import (
     odd_max_sat_ref,
     sat_bruteforce,
     sat_dpll,
+    text_satisfiable,
 )
 
 #: Formulas holding the constants 0 and 1, folded or not.
@@ -130,6 +141,61 @@ class TestTruthTable:
             n = num_vars(formula)
             assert n <= 8
             assert _truth_table(formula, n) == self.expected_table(formula, n), serialize(formula)
+
+
+def reference_text_sat(text):
+    """sat_bruteforce on the parsed text, its variables renumbered 1..m in
+    order of first occurrence so that high indices stay within the sweep."""
+    canonical = serialize(parse(text))
+    rank: dict[str, str] = {}
+    compact = re.sub(r"x[0-9]+", lambda m: rank.setdefault(m[0], f"x{len(rank) + 1}"), canonical)
+    return sat_bruteforce(parse(compact))
+
+
+class TestTextSatisfiable:
+    """text_satisfiable against parse plus the truth-table sweep."""
+
+    def assert_matches(self, texts):
+        for text in texts:
+            expected = parse_outcome(reference_text_sat, text)
+            assert parse_outcome(text_satisfiable, text) == expected, repr(text)
+
+    def test_every_body_of_the_curated_universes(self, corpus):
+        wires = set().union(*(reachable_query_wires(formula) for formula in corpus))
+        assert len(wires) > 2000
+        self.assert_matches(sorted({wire[:-1] for wire in wires}))
+
+    def test_reference_parser_text_families(self):
+        self.assert_matches(ParserReference().reference_texts())
+
+    @pytest.mark.parametrize(
+        "text", ["x", "x0", "x01", "x101", "x1&x0", "(x1|x)", "0", "1", "!0", "!1",
+                 "(0|1)", "(1&0)", "!(1&!0)", "((0|0)|!1)", "x100", "(x100&!x99)"],
+    )
+    def test_invalid_names_and_constant_bodies(self, text):
+        self.assert_matches([text])
+
+    @pytest.mark.parametrize("m", [21, 22, 23, 24])
+    def test_more_than_the_bound_takes_the_dpll_fallback(self, m, monkeypatch):
+        parsed: list[str] = []
+        original = oddmax.sat.parse
+
+        def counting(text):
+            parsed.append(text)
+            return original(text)
+
+        monkeypatch.setattr(oddmax.sat, "parse", counting)
+        present = "&".join(f"(x{i}|!x{i})" for i in range(1, m + 1))
+        for seed in range(10):
+            core = random_formula(seed, n=6, size=20)
+            for body in (core, Not(core)):
+                text = f"({serialize(body)}&{present})"
+                assert text_satisfiable(text) is sat_bruteforce(body), text
+        assert len(parsed) == 20
+
+    @given(any_text)
+    def test_any_text(self, text):
+        self.assert_matches([text])
 
 
 class TestDpll:
