@@ -19,9 +19,10 @@ one character). It keeps the open "|" and "&" chains and the pending "!"s of
 each open parenthesis on an explicit stack, so nesting depth costs no
 recursion, and computes a token's offset only for a ParseError. The loop
 (``_fold``) takes its algebra as arguments: parse folds the tokens into AST
-nodes, and :func:`oddmax.sat.text_satisfiable` folds the same tokens into
-bit-parallel truth-table columns, so both share one grammar and one set of
-error messages and positions. The leaves
+nodes, :func:`canonical` into the canonical text itself, and
+:func:`oddmax.sat.text_satisfiable` into bit-parallel truth-table columns,
+so all three share one grammar and one set of error messages and
+positions. The leaves
 ``Var(1)`` .. ``Var(MAX_VAR_INDEX)``, ``TRUE`` and ``FALSE`` are built once
 at import: parse, substitute and the SAT layer's constant folding return
 these shared objects instead of building new ones. The AST walkers dispatch
@@ -83,6 +84,7 @@ TRUE, FALSE = Const(True), Const(False)
 #: Every leaf parse can return, keyed by its text.
 _LEAVES: dict[str, Formula] = {"0": FALSE, "1": TRUE}
 _LEAVES.update((f"x{i}", Var(i)) for i in range(1, MAX_VAR_INDEX + 1))
+_TEXTS = {key: key for key in _LEAVES}  # the leaves as `canonical` folds them
 
 
 class ParseError(ValueError):
@@ -102,17 +104,20 @@ def parse(text: str) -> Formula:
     return _fold(text, _TOKEN.findall(text), _LEAVES, Not, And, Or)
 
 
+def canonical(text: str) -> str:
+    """serialize(parse(text)), folded straight from the tokens with no AST.
+
+    Raises the ParseError parse raises. No recursion, so any depth is fine.
+    """
+    return _fold(text, _TOKEN.findall(text), _TEXTS, "!".__add__,
+                 lambda a, b: f"({a}&{b})", lambda a, b: f"({a}|{b})")
+
+
 _T = TypeVar("_T")
 
 
-def _fold(
-    text: str,
-    tokens: list[str],
-    leaves: Mapping[str, _T],
-    neg: Callable[[_T], _T],
-    conj: Callable[[_T, _T], _T],
-    disj: Callable[[_T, _T], _T],
-) -> _T:
+def _fold(text: str, tokens: list[str], leaves: Mapping[str, _T], neg: Callable[[_T], _T],
+          conj: Callable[[_T, _T], _T], disj: Callable[[_T, _T], _T]) -> _T:
     """Fold the grammar over `tokens` (from `_TOKEN.findall(text)`) in one loop.
 
     `leaves` maps the text of every valid leaf that occurs in `tokens` to its
@@ -292,16 +297,11 @@ def random_formula(seed: int, n: int, size: int) -> Formula:
 def _random_node(rng: random.Random, n: int, budget: int) -> Formula:
     if budget >= 3:
         kind = rng.randrange(10)
-        if kind < 3:
-            left_budget = rng.randint(1, budget - 2)
-            left = _random_node(rng, n, left_budget)
-            right = _random_node(rng, n, budget - 1 - left_budget)
-            return And(left, right)
         if kind < 6:
             left_budget = rng.randint(1, budget - 2)
             left = _random_node(rng, n, left_budget)
             right = _random_node(rng, n, budget - 1 - left_budget)
-            return Or(left, right)
+            return (And if kind < 3 else Or)(left, right)
         if kind < 8:
             return Not(_random_node(rng, n, budget - 1))
     elif budget == 2 and rng.randrange(2) == 0:

@@ -3,13 +3,16 @@ tagged queries per variable, plus transcripts of single runs and the tree of
 all runs over all possible oracle answers.
 
 On a formula with variables x_1..x_n, iteration i sends the formula with x_i
-pinned true under tag '0' and tag '1'. Its body is the input's canonical
-text with '1' or '0' written over the tokens of x_1..x_i: the very string
-serialize(substitute(...)) gives for those pins, built with no new AST. A yes/no
-answer pair pins x_i true, no/yes pins it false, yes/yes accepts outright,
-no/no rejects outright; at i = n the pin-true case accepts and the pin-false
-case rejects. Strings that fail to parse are rejected without any queries,
-as are constant formulas, which have no variables to pin.
+pinned true under tag '0' and tag '1'. A yes/no answer pair pins x_i true,
+no/yes pins it false, yes/yes accepts outright, no/no rejects outright; at
+i = n the pin-true case accepts and the pin-false case rejects. Strings that
+fail to parse are rejected without any queries, as are constant formulas,
+which have no variables to pin.
+
+Runs and trees work on text and walk no AST. The canonical text (folded from
+the input by formula.canonical, or the tree's one serialize) is split at its
+variable tokens, and a body is that text with '1' or '0' written over the
+tokens of x_1..x_i: the string serialize(substitute(...)) gives for those pins.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Mapping, Union
 
-from .formula import Formula, ParseError, num_vars, parse, serialize, substitute
+from .formula import Formula, ParseError, canonical, serialize
 from .oracle import Oracle, Query, sat_join_cosat
 
 _VARIABLE = re.compile(r"(x[0-9]+)")  # a variable token, kept by re.split
@@ -119,13 +122,8 @@ class Transcript:
 
     def fixed_bits(self) -> tuple[bool, ...]:
         """Values pinned so far, one per pin-true/pin-false iteration."""
-        bits = []
-        for it in self.iterations:
-            if it.case is IterationCase.FIX_TRUE:
-                bits.append(True)
-            elif it.case is IterationCase.FIX_FALSE:
-                bits.append(False)
-        return tuple(bits)
+        pins = (IterationCase.FIX_TRUE, IterationCase.FIX_FALSE)
+        return tuple(it.case is pins[0] for it in self.iterations if it.case in pins)
 
     def to_json(self) -> dict:
         return {
@@ -156,14 +154,9 @@ def run_machine(
     first, even when the first answer already rules out a terminal case.
     """
     try:
-        formula = parse(text)
+        pieces, places, n = _split(canonical(text))
     except ParseError:
         return Transcript(text, False, (), False)
-    pieces = _VARIABLE.split(serialize(formula))  # odd pieces are variable tokens
-    places: dict[int, list[int]] = {}
-    for k in range(1, len(pieces), 2):
-        places.setdefault(int(pieces[k][1:]), []).append(k)
-    n = max(places, default=0)
     iterations: list[Iteration] = []
     verdict = False  # a constant formula never enters the loop: reject
     for i in range(1, n + 1):
@@ -174,9 +167,7 @@ def run_machine(
         q0, q1 = Query(body, "0"), Query(body, "1")
         ans0, ans1 = oracle(q0), oracle(q1)
         case = classify_case(ans0, ans1)
-        iterations.append(
-            Iteration(i, (QueryRecord(q0, ans0), QueryRecord(q1, ans1)), case)
-        )
+        iterations.append(Iteration(i, (QueryRecord(q0, ans0), QueryRecord(q1, ans1)), case))
         if case is IterationCase.ACCEPT_BOTH:
             verdict = program.accept_both_verdict
             break
@@ -196,6 +187,16 @@ def run_machine(
     return Transcript(text, True, tuple(iterations), verdict)
 
 
+def _split(text: str) -> tuple[list[str], dict[int, list[int]], int]:
+    """Canonical text split at its variable tokens: the pieces (odd ones are
+    the tokens), the piece positions of each x_i, and the largest index i."""
+    pieces = _VARIABLE.split(text)
+    places: dict[int, list[int]] = {}
+    for k in range(1, len(pieces), 2):
+        places.setdefault(int(pieces[k][1:]), []).append(k)
+    return pieces, places, max(places, default=0)
+
+
 def decide_oddmaxsat(formula: Formula) -> bool:
     """Verdict of the machine on the formula under the canonical join oracle."""
     return run_machine(serialize(formula), sat_join_cosat).verdict
@@ -208,10 +209,13 @@ class TreeLeaf:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One loop iteration with all four answer-pair edges materialized."""
+    """One loop iteration with all four answer-pair edges, in IterationCase order.
+
+    `text` is the canonical text the iteration starts from: the formula with
+    the pins of x_1..x_{i-1} written in."""
 
     iteration: int
-    formula: Formula
+    text: str
     queries: tuple[Query, Query]
     edges: tuple[tuple[IterationCase, Union["TreeNode", TreeLeaf]], ...]
 
@@ -224,14 +228,6 @@ class TreeNode:
 
 QueryTree = Union[TreeNode, TreeLeaf]
 
-#: Edge rendering order: the two continuation cases, then the terminal ones.
-CASE_ORDER = (
-    IterationCase.FIX_TRUE,
-    IterationCase.FIX_FALSE,
-    IterationCase.ACCEPT_BOTH,
-    IterationCase.REJECT_BOTH,
-)
-
 
 def build_query_tree(
     formula: Formula, program: MachineProgram = STANDARD_PROGRAM
@@ -241,34 +237,42 @@ def build_query_tree(
     Any single run traces one root-to-leaf path of this tree. A constant
     formula yields a bare verdict leaf.
     """
-    n = num_vars(formula)
+    text = serialize(formula)
+    pieces, places, n = _split(text)
     if n > TREE_BOUND:
         raise ValueError(f"formula has {n} variables, exceeding the tree bound {TREE_BOUND}")
     if n == 0:
         return TreeLeaf(False)
-    return _build_node(formula, 1, n, program)
-
-
-def _build_node(
-    formula: Formula, i: int, n: int, program: MachineProgram
-) -> TreeNode:
-    pinned = substitute(formula, i, True)
-    body = serialize(pinned)
-    queries = (Query(body, "0"), Query(body, "1"))
-
-    def continuation(value: bool, final: bool) -> QueryTree:
-        if i == n:
-            return TreeLeaf(final)
-        child = pinned if value else substitute(formula, i, False)
-        return _build_node(child, i + 1, n, program)
-
-    edges = (
-        (IterationCase.FIX_TRUE, continuation(program.fix_true_value, program.fix_true_final)),
-        (IterationCase.FIX_FALSE, continuation(program.fix_false_value, program.fix_false_final)),
+    pins = (  # the continuation cases; leaves are shared, being immutable
+        (IterationCase.FIX_TRUE, program.fix_true_value, TreeLeaf(program.fix_true_final)),
+        (IterationCase.FIX_FALSE, program.fix_false_value, TreeLeaf(program.fix_false_final)),
+    )
+    unanimous = (
         (IterationCase.ACCEPT_BOTH, TreeLeaf(program.accept_both_verdict)),
         (IterationCase.REJECT_BOTH, TreeLeaf(program.reject_both_verdict)),
     )
-    return TreeNode(i, formula, queries, edges)
+    last_edges = (*((case, leaf) for case, _, leaf in pins), *unanimous)
+
+    def node(i: int, text: str, pieces: list[str]) -> TreeNode:
+        # `pieces` is `text` split by _split; this call may write into it.
+        slots = places.get(i, ())
+        for k in slots:
+            pieces[k] = "1"
+        body = "".join(pieces)
+        edges = last_edges
+        if i < n:
+            continuations = []
+            for case, value, _ in pins:
+                child = pieces.copy()
+                if not value:
+                    for k in slots:
+                        child[k] = "0"
+                child_text = body if value else "".join(child)
+                continuations.append((case, node(i + 1, child_text, child)))
+            edges = (*continuations, *unanimous)
+        return TreeNode(i, text, (Query(body, "0"), Query(body, "1")), edges)
+
+    return node(1, text, pieces)
 
 
 def tree_verdict(tree: QueryTree, oracle: Oracle) -> bool:
@@ -286,10 +290,9 @@ def tree_queries(tree: QueryTree) -> frozenset[Query]:
     stack: list[QueryTree] = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, TreeLeaf):
-            continue
-        queries.update(node.queries)
-        stack.extend(child for _, child in node.edges)
+        if isinstance(node, TreeNode):
+            queries.update(node.queries)
+            stack.extend(child for _, child in node.edges)
     return frozenset(queries)
 
 
@@ -305,9 +308,9 @@ def tree_to_json(tree: QueryTree) -> dict:
         return {"verdict": "accept" if tree.verdict else "reject"}
     return {
         "iteration": tree.iteration,
-        "formula": serialize(tree.formula),
+        "formula": tree.text,
         "queries": [q.wire() for q in tree.queries],
-        "edges": {case.value: tree_to_json(tree.edge(case)) for case in CASE_ORDER},
+        "edges": {case.value: tree_to_json(child) for case, child in tree.edges},
     }
 
 
@@ -317,16 +320,12 @@ def render_tree(tree: QueryTree, indent: int = 0) -> str:
     if isinstance(tree, TreeLeaf):
         return f"{pad}{'accept' if tree.verdict else 'reject'}"
     lines = [
-        f"{pad}[i={tree.iteration}] {serialize(tree.formula)}  "
+        f"{pad}[i={tree.iteration}] {tree.text}  "
         f"queries: {tree.queries[0].wire()} {tree.queries[1].wire()}"
     ]
-    for case in CASE_ORDER:
-        child = tree.edge(case)
+    for case, child in tree.edges:
         if isinstance(child, TreeLeaf):
-            lines.append(
-                f"{pad}  {case.value} -> {'accept' if child.verdict else 'reject'}"
-            )
+            lines.append(f"{pad}  {case.value} -> {'accept' if child.verdict else 'reject'}")
         else:
-            lines.append(f"{pad}  {case.value} ->")
-            lines.append(render_tree(child, indent + 2))
+            lines += [f"{pad}  {case.value} ->", render_tree(child, indent + 2)]
     return "\n".join(lines)

@@ -6,7 +6,7 @@ followed by a single tag character, '0' or '1', with no delimiter. Tag '0'
 routes a query to the left component of a join, tag '1' to the right.
 
 Subsets of a finite universe are bit masks over `sorted_universe`: bit i
-stands for element i. Sampling draws masks (`sample_subset_masks`), and
+stands for element i. Sampling draws masks (`subset_mask_pairs`), and
 `mask_subset` turns a mask back into a frozenset of queries.
 """
 
@@ -182,13 +182,19 @@ def enumerate_subset_pairs(
             yield subsets[high_small | small], subsets[high_large | large]
 
 
+def subset_mask_pairs(k: int, rng: random.Random) -> Iterator[tuple[int, int]]:
+    """Endless draws of masks (S, T): T uniform over the subsets of k
+    elements, then S uniform over the subsets of T. Each draw takes two
+    `getrandbits(k)` calls, and none when k = 0."""
+    getrandbits = rng.getrandbits
+    while True:
+        large = getrandbits(k)
+        yield large & getrandbits(k), large
+
+
 def sample_subset_masks(k: int, rng: random.Random) -> tuple[int, int]:
-    """Draw T uniformly from subsets of k elements, then S uniformly from
-    subsets of T; return their masks (S, T)."""
-    if not k:
-        return 0, 0
-    large = rng.getrandbits(k)
-    return large & rng.getrandbits(k), large
+    """One draw of `subset_mask_pairs`."""
+    return next(subset_mask_pairs(k, rng))
 
 
 def sample_subset_pair(

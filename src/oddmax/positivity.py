@@ -4,16 +4,12 @@ never turn an accepted input into a rejected one.
 The check quantifies over subsets of the reachable query universe rather
 than over all strings; a run's verdict only ever consults queries from that
 universe, so the restriction loses nothing (the test suite pins this down).
-Small universes are swept exhaustively over all 3^|U| nested pairs; larger
-ones are sampled.
-
-Oracles are bit masks over `sorted_universe`, bit i standing for element i.
-The sampled check compiles the query tree once per call into a mask
-program (`_mask_tree`): nested tuples holding each node's two query bits
-and its four children in `CASE_ORDER`, with bool leaves. Each drawn mask
-then selects its run with two integer ANDs per level (`_mask_verdict`).
-The exhaustive sweep walks the tree itself with `tree_verdict`, sharing the
-2^|U| subset frozensets that `enumerate_subset_pairs` builds once per call.
+Small universes are swept exhaustively over all 3^|U| nested pairs, with
+`tree_verdict` and the 2^|U| subset frozensets of `enumerate_subset_pairs`;
+larger ones are sampled. The sampled check compiles the query tree into
+nested tuples over bit masks (`_mask_tree`; bit i is element i of
+`sorted_universe`), so a drawn oracle selects its run with two integer ANDs
+per level, and it takes every pair from one `subset_mask_pairs` stream.
 Frozensets and finite oracles of a sampled pair are built only to replay a
 violation.
 """
@@ -22,12 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Mapping, Union
 
 from .formula import Formula, serialize
 from .machine import (
-    CASE_ORDER,
     IterationCase,
     MachineProgram,
     STANDARD_PROGRAM,
@@ -45,8 +40,8 @@ from .oracle import (
     SUBSET_PAIR_BOUND,
     enumerate_subset_pairs,
     mask_subset,
-    sample_subset_masks,
     sorted_universe,
+    subset_mask_pairs,
 )
 
 #: Default number of pairs drawn in sampled mode.
@@ -112,7 +107,7 @@ def _replayed_counterexample(
 
 
 #: A compiled query tree: (bit0, bit1, fix_true, fix_false, accept_both,
-#: reject_both) per node, the children in CASE_ORDER; a leaf is its verdict.
+#: reject_both) per node, as a TreeNode's edges; a leaf is its verdict.
 MaskTree = Union[tuple, bool]
 
 
@@ -121,7 +116,7 @@ def _mask_tree(tree: QueryTree, bit: Mapping[Query, int]) -> MaskTree:
     if isinstance(tree, TreeLeaf):
         return tree.verdict
     q0, q1 = tree.queries
-    return (bit[q0], bit[q1], *(_mask_tree(tree.edge(case), bit) for case in CASE_ORDER))
+    return (bit[q0], bit[q1], *(_mask_tree(child, bit) for _, child in tree.edges))
 
 
 def _mask_verdict(node: MaskTree, mask: int) -> bool:
@@ -192,15 +187,14 @@ def check_positivity_sampled(
     universe = tree_queries(tree)
     elements = sorted_universe(universe)
     compiled = _mask_tree(tree, {q: 1 << i for i, q in enumerate(elements)})
-    rng = random.Random(seed)
-    for k in range(samples):
-        small, large = sample_subset_masks(len(elements), rng)
+    draws = islice(subset_mask_pairs(len(elements), random.Random(seed)), samples)
+    for checked, (small, large) in enumerate(draws, 1):
         if _mask_verdict(compiled, small) and not _mask_verdict(compiled, large):
             return PositivityReport(
                 formula=text,
                 mode="sampled",
                 universe_size=len(universe),
-                pairs_checked=k + 1,
+                pairs_checked=checked,
                 seed=seed,
                 violation=_replayed_counterexample(
                     text,

@@ -105,6 +105,12 @@ class TestDecide:
         code, out, _ = run_cli(capsys, "decide", "(" * 5000 + "x1" + ")" * 5000)
         assert (code, out.strip()) == (0, "accept")
 
+    def test_deeply_negated_formula_is_decided(self, capsys):
+        code, out, _ = run_cli(capsys, "decide", "!" * 5000 + "(x1&x2)")
+        assert (code, out.strip()) == (0, "accept")
+        code, out, _ = run_cli(capsys, "decide", "!" * 5001 + "(x1&x2)")
+        assert (code, out.strip()) == (1, "reject")
+
     def test_parse_error_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "decide", "x0")
         assert code == 2

@@ -17,6 +17,7 @@ from oddmax.formula import (
     Or,
     ParseError,
     Var,
+    canonical,
     evaluate,
     num_vars,
     parse,
@@ -190,8 +191,23 @@ class TestParserReference:
         for text in texts:
             assert parse_outcome(parse, text) == parse_outcome(reference_parse, text), repr(text)
 
+    def test_canonical_is_serialize_after_parse(self):
+        texts = self.reference_texts()
+        assert sum(isinstance(parse_outcome(parse, text), tuple) for text in texts) > 20_000
+        for text in texts:
+            expected = parse_outcome(parse, text)
+            if not isinstance(expected, tuple):
+                expected = serialize(expected)
+            assert parse_outcome(canonical, text) == expected, repr(text)
+
     def test_deep_parentheses_do_not_recurse(self):
         assert parse("(" * 10_000 + "x1" + ")" * 10_000) == Var(1)
+
+    def test_canonical_takes_any_depth(self):
+        assert canonical("!" * 5000 + "((x1&x2))") == "!" * 5000 + "(x1&x2)"
+        operands = ["x1", "x2"] * 1500
+        expected = "(" * 2999 + "x1" + "".join(f"|{x})" for x in operands[1:])
+        assert canonical("|".join(operands)) == expected
 
 
 class TestSharedLeaves:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,9 @@ from oddmax.machine import (
     classify_case,
     decide_oddmaxsat,
     query_universe,
+    render_tree,
     run_machine,
+    tree_queries,
     tree_to_json,
     tree_verdict,
 )
@@ -160,6 +163,22 @@ class TestReusedPin:
             assert run_machine(text, sat_join_cosat, program).to_json() == expected.to_json(), text
 
 
+def count_calls(monkeypatch, bindings):
+    """Patch each existing (module, name) binding to count its calls, by name."""
+    calls: dict[str, int] = {}
+    for module, name in bindings:
+        if name not in vars(module):
+            continue
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def noncanonical_text(formula, rng):
     """Print an AST as parseable text that is mostly not canonical: binary
     nodes lose their parentheses or gain redundant ones, and negations stack.
@@ -214,21 +233,40 @@ class TestTextPinning:
                 expected = reference_run_machine(text, oracle, program).to_json()
                 assert run_machine(text, oracle, program).to_json() == expected, text
 
-    def test_one_serialize_and_no_ast_walk_per_run(self, monkeypatch):
-        calls: dict[str, int] = {}
-        for name in ("serialize", "substitute", "num_vars"):
-            original = getattr(oddmax.machine, name)
-
-            def counting(*args, _name=name, _original=original):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _original(*args)
-
-            monkeypatch.setattr(oddmax.machine, name, counting)
+    def test_no_serialize_parse_or_ast_walk_per_run(self, monkeypatch):
+        calls = count_calls(
+            monkeypatch,
+            [(module, name) for module in (oddmax.machine, oddmax.formula)
+             for name in ("serialize", "parse", "substitute", "num_vars")],
+        )
         transcript = run_machine("(((x1|x2)&(x3|!x4))&((x5|x6)&(!x7|x8)))", sat_join_cosat)
         assert len(transcript.iterations) == 8
-        assert calls.get("serialize", 0) <= 1
-        assert calls.get("substitute", 0) == 0
-        assert calls.get("num_vars", 0) == 0
+        assert calls == {}
+
+
+class TestDeepInput:
+    """run_machine folds its input into canonical text without recursion, so
+    depth costs nothing while the oracle can answer the bodies (at most 20
+    distinct variables)."""
+
+    @staticmethod
+    def shape(transcript):
+        return transcript.verdict, [it.case for it in transcript.iterations]
+
+    def test_stacked_negations_run_as_their_shallow_equivalent(self):
+        for count, shallow in ((5000, "(x1&x2)"), (5001, "!(x1&x2)")):
+            deep = run_machine("!" * count + "(x1&x2)", sat_join_cosat)
+            assert deep.well_formed
+            assert self.shape(deep) == self.shape(run_machine(shallow, sat_join_cosat))
+        assert run_machine("!" * 5000 + "(x1&x2)", sat_join_cosat).verdict is True
+
+    def test_long_chain_runs_as_its_shallow_equivalent(self):
+        operands = [f"x{k % 15 + 1}" for k in range(3000)]
+        for op in "&|":
+            deep = run_machine(op.join(operands), sat_join_cosat)
+            shallow = run_machine(op.join(operands[:15]), sat_join_cosat)
+            assert len(deep.iterations) >= 1
+            assert self.shape(deep) == self.shape(shallow)
 
 
 class TestBodyMemo:
@@ -320,6 +358,16 @@ class TestQueryUniverse:
             query_universe(wide)
 
 
+@dataclass(frozen=True)
+class ReferenceNode:
+    """A tree node as it was built on ASTs: `formula` is the node's AST."""
+
+    iteration: int
+    formula: object
+    queries: tuple
+    edges: tuple
+
+
 def reference_build_node(formula, i, n, program):
     """The tree node as it was built with three substitutes per node: the
     pinned body, then each continuation substituted afresh."""
@@ -337,7 +385,42 @@ def reference_build_node(formula, i, n, program):
         (IterationCase.ACCEPT_BOTH, TreeLeaf(program.accept_both_verdict)),
         (IterationCase.REJECT_BOTH, TreeLeaf(program.reject_both_verdict)),
     )
-    return TreeNode(i, formula, queries, edges)
+    return ReferenceNode(i, formula, queries, edges)
+
+
+def reference_tree_json(node):
+    """`tree_to_json` as it read on AST nodes: the formula serialized."""
+    if isinstance(node, TreeLeaf):
+        return {"verdict": "accept" if node.verdict else "reject"}
+    return {
+        "iteration": node.iteration,
+        "formula": serialize(node.formula),
+        "queries": [q.wire() for q in node.queries],
+        "edges": {case.value: reference_tree_json(child) for case, child in node.edges},
+    }
+
+
+def assert_same_tree(tree, reference):
+    """Node by node: the text is the reference AST's serialization, and the
+    queries, edge cases and leaves are equal."""
+    if isinstance(reference, TreeLeaf):
+        assert tree == reference
+        return
+    assert isinstance(tree, TreeNode)
+    assert tree.iteration == reference.iteration
+    assert tree.text == serialize(reference.formula)
+    assert tree.queries == reference.queries
+    assert [case for case, _ in tree.edges] == [case for case, _ in reference.edges]
+    for (_, child), (_, expected) in zip(tree.edges, reference.edges):
+        assert_same_tree(child, expected)
+
+
+#: Gapped indices (sibling bodies coincide, so the universe must dedupe),
+#: prefix collisions between x1 and x10, repeated tokens and constants.
+TRICKY_TREE_TEXTS = [
+    "(x1&x3)", "(x1|x10)", "((x2|x10)&x1)", "x2", "((x1&x1)|!(x1|x2))",
+    "(x10&(x1|1))", "!(x3|(0&x1))",
+]
 
 
 class TestQueryTree:
@@ -359,7 +442,7 @@ class TestQueryTree:
             tree.edge(IterationCase.FIX_FALSE),
         ]
         assert all(isinstance(child, TreeNode) for child in continuations)
-        assert {serialize(child.formula) for child in continuations} == {
+        assert {child.text for child in continuations} == {
             "(1&x2)",
             "(0&x2)",
         }
@@ -384,10 +467,38 @@ class TestQueryTree:
                 continue
             tree = build_query_tree(formula, program)
             expected = reference_build_node(formula, 1, n, program)
-            assert tree == expected, serialize(formula)
-            assert tree_to_json(tree) == tree_to_json(expected), serialize(formula)
+            assert_same_tree(tree, expected)
+            assert tree_to_json(tree) == reference_tree_json(expected), serialize(formula)
             built += 1
         assert built >= 60
+
+    @pytest.mark.parametrize(
+        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+        ids=["standard", *MUTANT_PROGRAMS],
+    )
+    def test_equals_the_reference_on_gapped_and_prefix_texts(self, program):
+        for text in TRICKY_TREE_TEXTS:
+            formula = parse(text)
+            tree = build_query_tree(formula, program)
+            expected = reference_build_node(formula, 1, num_vars(formula), program)
+            assert_same_tree(tree, expected)
+            assert tree_to_json(tree) == reference_tree_json(expected), text
+            assert render_tree(tree).splitlines()[0].startswith(f"[i=1] {text}  ")
+        universe = query_universe(parse("(x1&x3)"), program)
+        assert {q.wire() for q in universe} == reachable_query_wires(parse("(x1&x3)"))
+
+    def test_one_serialize_and_no_ast_walk_per_build(self, monkeypatch):
+        calls = count_calls(
+            monkeypatch,
+            [(oddmax.machine, "serialize")]
+            + [(module, name) for module in (oddmax.machine, oddmax.formula)
+               for name in ("substitute", "num_vars")],
+        )
+        tree = build_query_tree(parse("(((x1|x2)&(x3|!x4))&(x5|!x6))"))
+        assert len(tree_queries(tree)) > 60
+        assert calls.get("serialize", 0) <= 1
+        assert calls.get("substitute", 0) == 0
+        assert calls.get("num_vars", 0) == 0
 
     def test_runs_trace_root_to_leaf_paths(self, corpus):
         rng = random.Random(42)
