@@ -39,7 +39,6 @@ from .oracle import (
     Query,
     enumerate_subset_pairs,
     join_membership,
-    one_query_decider,
     sample_subset_pair,
     sat_join_cosat,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "lexmax",
     "num_vars",
     "odd_max_sat_ref",
-    "one_query_decider",
     "parse",
     "query_universe",
     "random_formula",

@@ -24,7 +24,7 @@ from .machine import (
     run_machine,
     tree_to_json,
 )
-from .oracle import Query, SUBSET_PAIR_BOUND, one_query_decider, sat_join_cosat
+from .oracle import Query, SUBSET_PAIR_BOUND, sat_join_cosat
 from .positivity import (
     DEFAULT_SAMPLES,
     PositivityReport,
@@ -239,13 +239,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         query = Query.from_wire(args.query)
     except ValueError:
-        query = None
-    if query is None:
         answer = False
-    elif args.one_query:
-        answer = one_query_decider(query, sat_calls)
     else:
-        answer = sat_join_cosat(query)
+        answer = sat_join_cosat(query, sat_calls)
     if args.json:
         payload = {"query": args.query, "answer": answer}
         if args.one_query:
@@ -315,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="answer one raw query string (body plus trailing tag)")
     p.add_argument("query")
     p.add_argument("--one-query", action="store_true",
-                   help="use the single-call decider and report the call made")
+                   help="report the single SAT call the join oracle makes")
     p.set_defaults(func=cmd_oracle)
     return parser
 

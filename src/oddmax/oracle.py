@@ -1,5 +1,6 @@
 """Oracles over tagged query strings: the join of two sets, the canonical
-satisfiable/unsatisfiable join, finite oracles, and subset-pair enumeration.
+satisfiable/unsatisfiable join (one satisfiability call per query, which a
+caller can meter), finite oracles, and subset-pair enumeration.
 
 Wire format: the canonical serialization of a formula body immediately
 followed by a single tag character, '0' or '1', with no delimiter. Tag '0'
@@ -73,7 +74,8 @@ def join_membership(query: Query, left: SetPredicate, right: SetPredicate) -> bo
 
 @functools.lru_cache(maxsize=BODY_MEMO_SIZE)
 def _body_sat(body: str) -> bool | None:
-    """Satisfiability of a query body, or None when it is not a formula.
+    """Satisfiability of a query body, or None when it is not a formula: the
+    one satisfiability call sat_join_cosat makes per query.
 
     Both tags of a body share this one answer, so a machine iteration costs
     one pass over the body's tokens (text_satisfiable), at any nesting depth.
@@ -87,25 +89,13 @@ def _body_sat(body: str) -> bool | None:
         return None
 
 
-def sat_join_cosat(query: Query) -> bool:
+def sat_join_cosat(query: Query, sat_calls: list[str] | None = None) -> bool:
     """The canonical join oracle: satisfiability on tag '0', unsatisfiability
-    on tag '1'. Bodies that are not formulas are answered False on both tags,
-    keeping the predicate total.
-    """
-    answer = _body_sat(query.body)
-    if answer is None:
-        return False
-    return answer if query.tag == "0" else not answer
-
-
-def one_query_decider(query: Query, sat_calls: list[str] | None = None) -> bool:
-    """Decide join membership with a single satisfiability call on the body.
-
-    Returns the call's answer for tag '0' and its negation for tag '1';
-    agrees with sat_join_cosat everywhere. Pass a list as `sat_calls` to
-    meter the calls made (the body is appended once per call, whether or not
-    the memo already holds the answer). Bodies that are not formulas are
-    answered False without a metered call.
+    on tag '1', decided by a single satisfiability call on the body. Bodies
+    that are not formulas are answered False on both tags, keeping the
+    predicate total. Pass a list as `sat_calls` to meter the calls made (the
+    body is appended once per call, whether or not the memo already holds the
+    answer); a body that is not a formula is answered without a metered call.
     """
     answer = _body_sat(query.body)
     if answer is None:

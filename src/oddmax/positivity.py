@@ -138,8 +138,8 @@ def check_positivity_exhaustive(
     Reports the first violation found, or OK after all 3^|U| pairs. Raises
     ValueError when the universe exceeds SUBSET_PAIR_BOUND; fall back to sampling.
     """
-    text = serialize(formula)
     tree = build_query_tree(formula, program)
+    text = serialize(formula) if isinstance(tree, TreeLeaf) else tree.text
     universe = tree_queries(tree)
     if len(universe) > SUBSET_PAIR_BOUND:
         raise ValueError(
@@ -182,8 +182,8 @@ def check_positivity_sampled(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    text = serialize(formula)
     tree = build_query_tree(formula, program)
+    text = serialize(formula) if isinstance(tree, TreeLeaf) else tree.text
     universe = tree_queries(tree)
     elements = sorted_universe(universe)
     compiled = _mask_tree(tree, {q: 1 << i for i, q in enumerate(elements)})

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import strategies as st
 
 from oddmax.corpus import curated_corpus
-from oddmax.formula import Formula, evaluate, num_vars, serialize, substitute
+from oddmax.formula import Formula, evaluate, num_vars, parse, serialize, substitute
+from oddmax.oracle import Query, join_membership
+from oddmax.sat import sat_bruteforce
 
 #: Longest text `any_text` draws. Text this short nests at most this deep,
 #: well inside the interpreter's recursion limit; the parser takes any depth,
@@ -72,3 +74,13 @@ def reachable_query_wires(formula: Formula) -> set[str]:
             frontier.append((pinned, i + 1))
             frontier.append((substitute(current, i, False), i + 1))
     return wires
+
+
+def reference_join(query: Query) -> bool:
+    """Independent sat/unsat join: `join_membership` over the truth-table
+    SAT set (tag '0') and its complement among formulas (tag '1')."""
+
+    def sat(body: str) -> bool:
+        return sat_bruteforce(parse(body))
+
+    return join_membership(query, sat, lambda body: not sat(body))

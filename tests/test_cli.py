@@ -473,6 +473,23 @@ class TestOracle:
         payload = json.loads(out)
         assert (code, payload["answer"]) == (0, True)
 
+    def test_one_query_meters_no_call_on_a_malformed_body(self, capsys):
+        assert run_cli(capsys, "oracle", "zzz1", "--one-query")[:2] == (1, "no\n")
+        code, out, _ = run_cli(capsys, "oracle", "zzz1", "--one-query", "--json")
+        assert code == 1
+        assert json.loads(out) == {"query": "zzz1", "answer": False, "satCalls": []}
+
+    def test_one_query_json_lists_the_single_call(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "(x1&!x1)0", "--one-query", "--json")
+        assert code == 1
+        assert json.loads(out) == {"query": "(x1&!x1)0", "answer": False,
+                                   "satCalls": ["(x1&!x1)"]}
+
+    def test_json_lists_no_calls_without_one_query(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "(x1&!x1)1", "--json")
+        assert code == 0
+        assert json.loads(out) == {"query": "(x1&!x1)1", "answer": True}
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_2(self, capsys):

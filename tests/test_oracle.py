@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from conftest import reference_join
 from oddmax.formula import num_vars, parse
 from oddmax.machine import query_universe
 from oddmax.oracle import (
@@ -17,7 +18,6 @@ from oddmax.oracle import (
     enumerate_subset_pairs,
     join_membership,
     mask_subset,
-    one_query_decider,
     sample_subset_masks,
     sample_subset_pair,
     sat_join_cosat,
@@ -115,32 +115,43 @@ class TestSatJoinCosat:
 
 
 class TestOneQueryDecider:
+    """The join oracle as Theorem 2's decider: one metered SAT call per query."""
+
     def test_unsat_body_tag_zero(self):
-        assert one_query_decider(q("(x1&!x1)0")) is False
+        assert sat_join_cosat(q("(x1&!x1)0"), []) is False
 
     def test_unsat_body_tag_one(self):
-        assert one_query_decider(q("(x1&!x1)1")) is True
+        assert sat_join_cosat(q("(x1&!x1)1"), []) is True
 
     def test_meters_exactly_one_call(self):
         calls: list[str] = []
-        one_query_decider(q("(x1|x2)1"), calls)
+        sat_join_cosat(q("(x1|x2)1"), calls)
         assert calls == ["(x1|x2)"]
 
     def test_malformed_body_makes_no_call(self):
         calls: list[str] = []
-        assert one_query_decider(Query("zzz", "1"), calls) is False
+        assert sat_join_cosat(Query("zzz", "1"), calls) is False
         assert calls == []
 
-    def test_agrees_with_join_oracle_on_universes(self, corpus):
-        from oddmax.formula import num_vars
+    def test_body_in_the_memo_is_still_metered_once(self):
+        body_memo.cache_clear()
+        assert sat_join_cosat(q("(x1&x2)0")) is True
+        hits = body_memo.cache_info().hits
+        calls: list[str] = []
+        assert sat_join_cosat(q("(x1&x2)1"), calls) is False
+        assert body_memo.cache_info().hits == hits + 1
+        assert calls == ["(x1&x2)"]
+        assert sat_join_cosat(q("(x1&x2)0"), calls) is True
+        assert calls == ["(x1&x2)", "(x1&x2)"]
 
+    def test_agrees_with_join_oracle_on_universes(self, corpus):
         for formula in corpus:
             if not 1 <= num_vars(formula) <= 4:
                 continue
             for query in sorted_universe(query_universe(formula)):
                 calls: list[str] = []
-                assert one_query_decider(query, calls) == sat_join_cosat(query)
-                assert len(calls) == 1
+                assert sat_join_cosat(query, calls) == reference_join(query)
+                assert calls == [query.body]
 
 
 class TestBodyMemo:
@@ -175,7 +186,7 @@ class TestBodyMemo:
             assert sat_join_cosat(Query(body, "0")) is False
             assert sat_join_cosat(Query(body, "1")) is False
             calls: list[str] = []
-            assert one_query_decider(Query(body, "1"), calls) is False
+            assert sat_join_cosat(Query(body, "1"), calls) is False
             assert calls == []
 
     def test_memo_stays_within_its_bound(self):

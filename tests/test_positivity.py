@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import oddmax.machine
 import oddmax.positivity
 from oddmax.formula import num_vars, parse, serialize
 from oddmax.machine import (
@@ -258,3 +259,33 @@ class TestReportJson:
         payload = check_positivity_sampled(parse("x1"), samples=10, seed=4).to_json()
         assert payload["mode"] == "sampled"
         assert payload["seed"] == 4
+
+
+@pytest.mark.parametrize(
+    "check", [check_positivity_exhaustive, check_positivity_sampled], ids=["exhaustive", "sampled"]
+)
+class TestReportText:
+    """The report text is the tree's root text: one serialize per check."""
+
+    def count_serialize(self, monkeypatch) -> list:
+        serialized = []
+        for module in (oddmax.positivity, oddmax.machine):
+            def counting(formula, _original=module.serialize):
+                serialized.append(formula)
+                return _original(formula)
+
+            monkeypatch.setattr(module, "serialize", counting)
+        return serialized
+
+    def test_one_serialize_per_check(self, monkeypatch, check):
+        serialized = self.count_serialize(monkeypatch)
+        formula = parse("(x1|!x2)")
+        assert check(formula).formula == "(x1|!x2)"
+        assert serialized == [formula]
+
+    def test_constant_formula_is_serialized_for_the_report(self, monkeypatch, check):
+        serialized = self.count_serialize(monkeypatch)
+        formula = parse("(!1|0)")
+        report = check(formula)
+        assert (report.formula, report.universe_size, report.ok) == ("(!1|0)", 0, True)
+        assert serialized == [formula, formula]
