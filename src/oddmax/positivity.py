@@ -4,14 +4,14 @@ never turn an accepted input into a rejected one.
 The check quantifies over subsets of the reachable query universe rather
 than over all strings; a run's verdict only ever consults queries from that
 universe, so the restriction loses nothing (the test suite pins this down).
-Small universes are swept exhaustively over all 3^|U| nested pairs, with
-`tree_verdict` and the 2^|U| subset frozensets of `enumerate_subset_pairs`;
-larger ones are sampled. The sampled check compiles the query tree into
-nested tuples over bit masks (`_mask_tree`; bit i is element i of
-`sorted_universe`), so a drawn oracle selects its run with two integer ANDs
-per level, and it takes every pair from one `subset_mask_pairs` stream.
-Frozensets and finite oracles of a sampled pair are built only to replay a
-violation.
+Both checks name subsets by bit masks: bit i is element i of
+`sorted_universe`. Small universes are swept exhaustively over all 3^|U|
+nested mask pairs of `enumerate_subset_pairs`, against one table of 2^|U|
+verdicts that walks the tree with `tree_verdict` once per mask; larger ones
+are sampled. The sampled check compiles the query tree into nested tuples
+over masks (`_mask_tree`), so a drawn oracle selects its run with two
+integer ANDs per level, and it takes every pair from one `subset_mask_pairs`
+stream. Frozensets and finite oracles are built only to replay a violation.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ from .machine import (
 from .oracle import (
     FiniteOracle,
     Query,
-    SUBSET_PAIR_BOUND,
     enumerate_subset_pairs,
     mask_subset,
     sorted_universe,
     subset_mask_pairs,
+    subset_pair_rank,
 )
 
 #: Default number of pairs drawn in sampled mode.
@@ -95,12 +95,14 @@ class PositivityReport:
 def _replayed_counterexample(
     text: str,
     universe: frozenset[Query],
-    small: frozenset[Query],
-    large: frozenset[Query],
+    elements: tuple[Query, ...],
+    small: int,
+    large: int,
     program: MachineProgram,
 ) -> Counterexample:
-    small_oracle = FiniteOracle(universe, small)
-    large_oracle = FiniteOracle(universe, large)
+    """Replay the mask pair (small, large) over `elements` as two finite oracles."""
+    small_oracle = FiniteOracle(universe, mask_subset(elements, small))
+    large_oracle = FiniteOracle(universe, mask_subset(elements, large))
     small_verdict = run_machine(text, small_oracle, program).verdict
     large_verdict = run_machine(text, large_oracle, program).verdict
     return Counterexample(small_oracle, large_oracle, small_verdict, large_verdict)
@@ -141,33 +143,25 @@ def check_positivity_exhaustive(
     tree = build_query_tree(formula, program)
     text = serialize(formula) if isinstance(tree, TreeLeaf) else tree.text
     universe = tree_queries(tree)
-    if len(universe) > SUBSET_PAIR_BOUND:
-        raise ValueError(
-            f"query universe has {len(universe)} elements, exceeding the "
-            f"exhaustive bound {SUBSET_PAIR_BOUND}"
-        )
-    verdicts: dict[frozenset[Query], bool] = {}
-
-    def verdict(members: frozenset[Query]) -> bool:
-        cached = verdicts.get(members)
-        if cached is None:
-            cached = tree_verdict(tree, members.__contains__)
-            verdicts[members] = cached
-        return cached
-
-    pairs = 0
-    for small, large in enumerate_subset_pairs(universe):
-        pairs += 1
-        if verdict(small) and not verdict(large):
+    elements = sorted_universe(universe)
+    k = len(elements)
+    pairs = enumerate_subset_pairs(k)  # checks the bound before 2^k walks
+    bit = {q: 1 << i for i, q in enumerate(elements)}
+    # One tree walk per oracle: accepts[mask] is the verdict under `mask`.
+    accepts = [tree_verdict(tree, lambda q: bit[q] & mask) for mask in range(1 << k)]
+    for small, large in pairs:
+        if accepts[small] and not accepts[large]:
             return PositivityReport(
                 formula=text,
                 mode="exhaustive",
-                universe_size=len(universe),
-                pairs_checked=pairs,
+                universe_size=k,
+                pairs_checked=subset_pair_rank(k, small, large) + 1,
                 seed=None,
-                violation=_replayed_counterexample(text, universe, small, large, program),
+                violation=_replayed_counterexample(
+                    text, universe, elements, small, large, program
+                ),
             )
-    return PositivityReport(text, "exhaustive", len(universe), pairs, None, None)
+    return PositivityReport(text, "exhaustive", k, 3**k, None, None)
 
 
 def check_positivity_sampled(
@@ -197,11 +191,7 @@ def check_positivity_sampled(
                 pairs_checked=checked,
                 seed=seed,
                 violation=_replayed_counterexample(
-                    text,
-                    universe,
-                    mask_subset(elements, small),
-                    mask_subset(elements, large),
-                    program,
+                    text, universe, elements, small, large, program
                 ),
             )
     return PositivityReport(text, "sampled", len(universe), samples, seed, None)

@@ -22,6 +22,7 @@ from oddmax.oracle import (
     sample_subset_pair,
     sat_join_cosat,
     sorted_universe,
+    subset_pair_rank,
 )
 from oddmax.oracle import _body_sat as body_memo
 from oddmax.sat import sat_bruteforce
@@ -216,30 +217,27 @@ class TestFiniteOracle:
 
 class TestEnumerateSubsetPairs:
     def test_empty_universe_has_one_pair(self):
-        assert list(enumerate_subset_pairs(frozenset())) == [(frozenset(), frozenset())]
+        assert list(enumerate_subset_pairs(0)) == [(0, 0)]
 
     def test_two_elements_give_nine_pairs(self):
-        universe = {q("x10"), q("x11")}
-        pairs = list(enumerate_subset_pairs(universe))
+        pairs = list(enumerate_subset_pairs(2))
         assert len(pairs) == 9
         assert len(set(pairs)) == 9
 
     def test_six_elements_give_729_pairs(self):
-        universe = query_universe(parse("(x1&x2)"))
-        assert len(universe) == 6
-        pairs = list(enumerate_subset_pairs(universe))
+        assert len(query_universe(parse("(x1&x2)"))) == 6
+        pairs = list(enumerate_subset_pairs(6))
         assert len(pairs) == 729
         assert len(set(pairs)) == 729
 
     def test_every_pair_is_nested(self):
-        universe = query_universe(parse("(x1&x2)"))
-        for small, large in enumerate_subset_pairs(universe):
-            assert small <= large <= frozenset(universe)
+        for small, large in enumerate_subset_pairs(6):
+            assert small & ~large == 0
+            assert 0 <= large < 1 << 6
 
     def test_bound_exceeded(self):
-        universe = {Query(f"x{i}", "0") for i in range(1, 14)}
         with pytest.raises(ValueError):
-            list(enumerate_subset_pairs(universe))
+            list(enumerate_subset_pairs(13))
 
     @pytest.mark.parametrize("size", range(7))
     def test_order_is_the_trit_product_order(self, size):
@@ -255,7 +253,16 @@ class TestEnumerateSubsetPairs:
             )
             for trits in product(range(3), repeat=size)
         ]
-        assert list(enumerate_subset_pairs(universe)) == expected
+        got = [
+            (mask_subset(elements, small), mask_subset(elements, large))
+            for small, large in enumerate_subset_pairs(len(elements))
+        ]
+        assert got == expected
+
+    @pytest.mark.parametrize("size", range(7))
+    def test_rank_is_the_position_in_the_stream(self, size):
+        for position, (small, large) in enumerate(enumerate_subset_pairs(size)):
+            assert subset_pair_rank(size, small, large) == position
 
 
 class TestSampleSubsetPair:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -47,6 +48,36 @@ def reference_sampled(formula, samples, seed, program):
         ):
             return checked, sorted(q.wire() for q in small), sorted(q.wire() for q in large)
     return samples, None, None
+
+
+def reference_exhaustive(formula, program):
+    """The exhaustive check as it stood with frozenset subsets and a
+    frozenset-keyed verdict memo, written out here so that it shares no
+    enumeration code with the checker: (pairs checked, S wires, T wires) of
+    the first violation, or (3^|U|, None, None)."""
+    tree = build_query_tree(formula, program)
+    elements = sorted_universe(tree_queries(tree))
+    verdicts: dict = {}
+
+    def verdict(members):
+        if members not in verdicts:
+            verdicts[members] = tree_verdict(tree, members.__contains__)
+        return verdicts[members]
+
+    for checked, trits in enumerate(product(range(3), repeat=len(elements)), 1):
+        small = frozenset(q for q, t in zip(elements, trits) if t == 2)
+        large = frozenset(q for q, t in zip(elements, trits) if t >= 1)
+        if verdict(small) and not verdict(large):
+            return checked, sorted(q.wire() for q in small), sorted(q.wire() for q in large)
+    return checked, None, None
+
+
+def outcome(report):
+    """(pairs checked, S wires, T wires) of a report, as the references give it."""
+    if report.ok:
+        return report.pairs_checked, None, None
+    payload = report.to_json()["result"]
+    return report.pairs_checked, payload["S"], payload["T"]
 
 
 def replay(report, program):
@@ -97,6 +128,53 @@ class TestExhaustive:
             if num_vars(formula) > 2:
                 continue
             assert check_positivity_exhaustive(formula).ok, serialize(formula)
+
+    @pytest.mark.parametrize(
+        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+        ids=["standard", *MUTANT_PROGRAMS],
+    )
+    def test_equals_the_frozenset_reference(self, program, corpus):
+        checked = 0
+        for formula in corpus:
+            if num_vars(formula) > TREE_BOUND:
+                continue
+            if len(tree_queries(build_query_tree(formula, program))) > SUBSET_PAIR_BOUND:
+                continue
+            report = check_positivity_exhaustive(formula, program=program)
+            assert outcome(report) == reference_exhaustive(formula, program), serialize(formula)
+            checked += 1
+        assert checked == 37
+
+
+class TestExhaustiveCost:
+    """The exhaustive check walks the tree once per oracle mask and builds
+    frozensets only to replay a violation."""
+
+    def record(self, monkeypatch, name) -> list:
+        calls = []
+        original = getattr(oddmax.positivity, name)
+
+        def recording(*args):
+            result = original(*args)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(oddmax.positivity, name, recording)
+        return calls
+
+    def test_clean_check_walks_each_mask_once(self, monkeypatch):
+        walks = self.record(monkeypatch, "tree_verdict")
+        subsets = self.record(monkeypatch, "mask_subset")
+        report = check_positivity_exhaustive(parse("((x1|x2)&(!x1|!x2))"))
+        assert report.ok and report.universe_size == 6
+        assert len(walks) == 2**6
+        assert subsets == []
+
+    def test_violation_builds_subsets_only_for_the_replay(self, monkeypatch):
+        subsets = self.record(monkeypatch, "mask_subset")
+        report = check_positivity_exhaustive(parse("(x1&x2)"), program=MUTANT_SWAP_UNANIMOUS)
+        assert not report.ok
+        assert subsets == [report.violation.small.members, report.violation.large.members]
 
 
 class TestSampled:
