@@ -1,7 +1,7 @@
 """Desk-scale SAT decision and lexicographically maximum satisfying assignments.
 
 Two independent satisfiability routes are kept side by side on purpose:
-:func:`sat_bruteforce` sweeps the full truth table, while :func:`sat_dpll`
+:func:`sat_bruteforce` sweeps the truth table in blocks, :func:`sat_dpll`
 searches by splitting. One checks the other throughout the test suite.
 
 The join oracle asks :func:`text_satisfiable`, which decides formula text
@@ -12,6 +12,7 @@ runs sat_dpll.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .formula import (
@@ -34,37 +35,51 @@ from .formula import (
 #: Largest variable count swept as a truth table (2^n assignments): the
 #: limit of sat_bruteforce and the point where lexmax turns greedy.
 BRUTEFORCE_BOUND = 20
+#: Variables per block of that sweep: 2^16-bit (8 KiB) tables, highest first.
+BLOCK_VARS = 16
 
 
 def sat_bruteforce(formula: Formula) -> bool:
-    """Truth-table satisfiability over all 2^n assignments.
-
-    The sweep is bit-parallel: each subformula is evaluated simultaneously
-    on every assignment, one bit per assignment column.
+    """Truth-table satisfiability over all 2^n assignments, bit-parallel:
+    one bit per assignment of a block, ending at the first block with a model.
     """
     n = num_vars(formula)
     if n > BRUTEFORCE_BOUND:
         raise ValueError(f"formula has {n} variables, exceeding the bound {BRUTEFORCE_BOUND}")
-    return _truth_table(formula, n) != 0
+    return _top_model(formula, n) is not None
 
 
-def _truth_table(formula: Formula, n: int) -> int:
-    """Integer whose bit a is evaluate(formula, assignment a) over all 2^n a."""
-    return _table(formula, n, (1 << (1 << n)) - 1)
+def _blocks(formula: Formula, n: int) -> Iterator[tuple[int, int]]:
+    # Yield (offset, table), highest first; bit a of table is the value at
+    # offset + a. Columns of x_1.. above the last `width` are 0 or all-ones.
+    width = min(n, BLOCK_VARS)
+    full = (1 << (1 << width)) - 1
+    low = [_var_column(shift, width) for shift in range(width - 1, -1, -1)]
+    for block in range((1 << (n - width)) - 1, -1, -1):
+        high = [full if block >> shift & 1 else 0 for shift in range(n - width - 1, -1, -1)]
+        yield block << width, _table(formula, [0, *high, *low], full)
 
 
-def _table(formula: Formula, n: int, full: int) -> int:
-    # `full` is the all-ones mask over the 2^n columns, built once per table.
+def _top_model(formula: Formula, n: int) -> int | None:
+    # Index of the lexicographically greatest model, or None if UNSAT.
+    for offset, table in _blocks(formula, n):
+        if table:
+            return offset + table.bit_length() - 1
+    return None
+
+
+def _table(formula: Formula, columns: list[int], full: int) -> int:
+    # columns[i] is the column of x_i; `full` is the all-ones mask over them.
     kind = type(formula)
     if kind is Var:
-        return _var_column(n - formula.index, n)
+        return columns[formula.index]
     if kind is Const:
         return full if formula.value else 0
     if kind is Not:
-        return full ^ _table(formula.child, n, full)
+        return full ^ _table(formula.child, columns, full)
     if kind is And:
-        return _table(formula.left, n, full) & _table(formula.right, n, full)
-    return _table(formula.left, n, full) | _table(formula.right, n, full)
+        return _table(formula.left, columns, full) & _table(formula.right, columns, full)
+    return _table(formula.left, columns, full) | _table(formula.right, columns, full)
 
 
 #: The text of every variable leaf parse accepts.
@@ -166,19 +181,16 @@ def lexmax(formula: Formula) -> Assignment | None:
     """Lexicographically greatest satisfying assignment, or None if UNSAT.
 
     x_1 is the most significant coordinate. Up to BRUTEFORCE_BOUND
-    variables the witness is the highest set bit of the truth table, whose
-    index a reads as the numeral x_1..x_n (x_1 is bit n-1, x_n is bit 0).
-    Larger formulas are settled greedily by pinning each variable to true
-    when a satisfying extension remains.
+    variables the witness is the highest set bit of the first nonzero block
+    of the truth table, whose index a reads as the numeral x_1..x_n (x_1 is
+    bit n-1, x_n is bit 0). Larger formulas are settled greedily by pinning
+    each variable to true when a satisfying extension remains.
     """
     n = num_vars(formula)
     if n > BRUTEFORCE_BOUND:
         return lexmax_greedy(formula)
-    table = _truth_table(formula, n)
-    if not table:
-        return None
-    top = table.bit_length() - 1
-    return tuple(bool((top >> (n - 1 - k)) & 1) for k in range(n))
+    top = _top_model(formula, n)
+    return None if top is None else tuple(bool((top >> (n - 1 - k)) & 1) for k in range(n))
 
 
 def lexmax_greedy(formula: Formula) -> Assignment | None:
@@ -209,5 +221,8 @@ def odd_max_sat_ref(formula: Formula) -> bool:
     n = num_vars(formula)
     if n < 1:
         raise ValueError("constant formula: no final variable to test")
-    witness = lexmax(formula)
-    return witness is not None and witness[-1]
+    if n > BRUTEFORCE_BOUND:
+        witness = lexmax_greedy(formula)
+        return witness is not None and witness[-1]
+    top = _top_model(formula, n)
+    return top is not None and top & 1 == 1

@@ -13,7 +13,7 @@ import time
 
 from conftest import reachable_query_wires, reference_join
 from oddmax.corpus import curated_corpus, random_corpus
-from oddmax.formula import num_vars, parse, serialize
+from oddmax.formula import And, Not, Or, Var, num_vars, parse, random_formula, serialize
 from oddmax.machine import (
     IterationCase,
     MUTANT_PROGRAMS,
@@ -22,7 +22,7 @@ from oddmax.machine import (
 )
 from oddmax.oracle import FiniteOracle, sat_join_cosat, sorted_universe
 from oddmax.positivity import check_positivity_exhaustive, check_positivity_sampled
-from oddmax.sat import odd_max_sat_ref, sat_bruteforce, sat_dpll
+from oddmax.sat import lexmax, lexmax_greedy, odd_max_sat_ref, sat_bruteforce, sat_dpll
 
 CORPUS = curated_corpus()
 
@@ -290,6 +290,34 @@ def test_sat_backend_agreement():
     )
     assert disagreements == []
     assert elapsed < 60
+
+
+def test_block_sweep_agreement():
+    """Above one truth-table block, on 400 seeded formulas spanning exactly
+    n = 17..20 variables (200 random bodies and their negations): splitting
+    search equals the block sweep and the greedy lex-max equals the swept
+    one; zero disagreements; under 5 s."""
+    start = time.perf_counter()
+    batch = []
+    for seed in range(200):
+        n = 17 + seed % 4
+        base = random_formula(seed, n=n, size=25)
+        batch += [And(body, Or(Var(n), Not(Var(n)))) for body in (base, Not(base))]
+    disagreements = [
+        serialize(f)
+        for f in batch
+        if sat_dpll(f) != sat_bruteforce(f) or lexmax(f) != lexmax_greedy(f)
+    ]
+    elapsed = time.perf_counter() - start
+    ok = not disagreements and elapsed < 5
+    report(
+        "block-sweep-agreement",
+        ok,
+        f"(checked={len(batch)} disagreements={len(disagreements)} time={elapsed:.1f}s)",
+    )
+    assert all(num_vars(f) == 17 + index // 2 % 4 for index, f in enumerate(batch))
+    assert disagreements == []
+    assert elapsed < 5
 
 
 def test_universe_cardinality():

@@ -30,9 +30,11 @@ from oddmax.formula import (
     substitute,
 )
 from oddmax.sat import (
+    BLOCK_VARS,
     BRUTEFORCE_BOUND,
     _assign,
-    _truth_table,
+    _blocks,
+    _var_column,
     lexmax,
     lexmax_greedy,
     odd_max_sat_ref,
@@ -123,6 +125,138 @@ class TestBruteforce:
             assert sat_bruteforce(formula) == bool(satisfying_assignments(formula))
 
 
+def reference_truth_table(formula, n):
+    """The single 2^n-bit table that sat_bruteforce and lexmax swept before
+    the table was split into blocks: bit a is the value at assignment a."""
+    full = (1 << (1 << n)) - 1
+
+    def table(node):
+        kind = type(node)
+        if kind is Var:
+            return _var_column(n - node.index, n)
+        if kind is Const:
+            return full if node.value else 0
+        if kind is Not:
+            return full ^ table(node.child)
+        if kind is And:
+            return table(node.left) & table(node.right)
+        return table(node.left) | table(node.right)
+
+    return table(formula)
+
+
+def reference_witness(formula, n):
+    """The lex-max witness read off the single table's highest set bit."""
+    top = reference_truth_table(formula, n).bit_length() - 1
+    return None if top < 0 else tuple(bool((top >> (n - 1 - k)) & 1) for k in range(n))
+
+
+def concatenated_blocks(formula, n):
+    """Every block of the sweep shifted to its offset and joined into one
+    integer; the offsets must descend and tile the 2^n assignments."""
+    offsets, table = [], 0
+    for offset, block in _blocks(formula, n):
+        offsets.append(offset)
+        table |= block << offset
+    width = min(n, BLOCK_VARS)
+    assert offsets == [b << width for b in range((1 << (n - width)) - 1, -1, -1)]
+    return table
+
+
+def spanning(body, n):
+    """`body` conjoined with the tautology on x_n, so it spans n variables."""
+    return And(body, Or(Var(n), Not(Var(n))))
+
+
+def pin_high(n, block):
+    """Conjunction fixing x_1..x_(n-BLOCK_VARS) to the bits of `block`, so
+    every model lies in that block."""
+    literals = [Var(i) if block >> (n - BLOCK_VARS - i) & 1 else Not(Var(i))
+                for i in range(1, n - BLOCK_VARS + 1)]
+    pinned = literals[0]
+    for literal in literals[1:]:
+        pinned = And(pinned, literal)
+    return pinned
+
+
+def block_path_formulas(n):
+    """Seeded formulas spanning n variables: random bodies and their
+    negations, UNSAT ones (every block swept), and above BLOCK_VARS ones
+    whose models all lie in the lowest block or in a middle block."""
+    formulas = []
+    for seed in range(6):
+        base = random_formula(seed, n=n, size=25)
+        bodies = [base, Not(base), And(base, Not(base))]
+        if n > BLOCK_VARS:
+            # The lowest block, and 0b0101.. in the middle when n > 17.
+            for block in (0, (1 << (n - BLOCK_VARS)) // 3):
+                bodies.append(And(pin_high(n, block), Or(base, Var(n))))
+        formulas += [spanning(body, n) for body in bodies]
+    return formulas
+
+
+class TestBlocks:
+    """The block sweep against the single-table reference it replaced."""
+
+    @pytest.mark.parametrize("n", [16, 17, 18, 20])
+    def test_block_sweep_equals_the_single_table(self, n):
+        outcomes = set()
+        for formula in block_path_formulas(n):
+            assert num_vars(formula) == n
+            table = reference_truth_table(formula, n)
+            witness = reference_witness(formula, n)
+            assert concatenated_blocks(formula, n) == table, serialize(formula)
+            assert sat_bruteforce(formula) is (table != 0), serialize(formula)
+            assert lexmax(formula) == witness, serialize(formula)
+            outcomes.add(None if witness is None else witness[: n - BLOCK_VARS])
+        # UNSAT formulas and, above one block, models led by several
+        # different high-variable prefixes, the lowest among them.
+        assert None in outcomes
+        if n > BLOCK_VARS:
+            assert (False,) * (n - BLOCK_VARS) in outcomes
+            assert len(outcomes) >= 3
+
+    def test_top_model_in_the_lowest_and_a_middle_block(self):
+        lowest = parse("((!x1&(!x2&(!x3&!x4)))&(x5|(x20|!x20)))")
+        assert lexmax(lowest) == (False,) * 4 + (True,) * 16
+        middle = parse("((!x1&(x2&(!x3&x4)))&(!x19|!x20))")
+        assert lexmax(middle) == (False, True, False, True) + (True,) * 14 + (True, False)
+        for formula in (lowest, middle):
+            assert sat_bruteforce(formula) is True
+            assert lexmax(formula) == reference_witness(formula, 20)
+
+    def record_blocks(self, monkeypatch) -> list:
+        offsets = []
+        original = oddmax.sat._blocks
+
+        def recording(*args):
+            for offset, table in original(*args):
+                offsets.append(offset)
+                yield offset, table
+
+        monkeypatch.setattr(oddmax.sat, "_blocks", recording)
+        return offsets
+
+    def test_first_block_with_a_model_ends_the_sweep(self, monkeypatch):
+        offsets = self.record_blocks(monkeypatch)
+        formula = parse("(x1&x20)")
+        assert sat_bruteforce(formula) is True
+        assert offsets == [15 << BLOCK_VARS]
+        offsets.clear()
+        assert lexmax(formula) == (True,) * 20
+        assert offsets == [15 << BLOCK_VARS]
+
+    def test_unsat_sweeps_all_sixteen_blocks(self, monkeypatch):
+        offsets = self.record_blocks(monkeypatch)
+        formula = parse("((x1&!x1)&x20)")
+        every_block = [block << BLOCK_VARS for block in range(15, -1, -1)]
+        assert sat_bruteforce(formula) is False
+        assert offsets == every_block
+        offsets.clear()
+        assert lexmax(formula) is None
+        assert offsets == every_block
+
+
 class TestTruthTable:
     @staticmethod
     def expected_table(formula, n):
@@ -140,7 +274,8 @@ class TestTruthTable:
         for formula in formulas:
             n = num_vars(formula)
             assert n <= 8
-            assert _truth_table(formula, n) == self.expected_table(formula, n), serialize(formula)
+            expected = self.expected_table(formula, n)
+            assert concatenated_blocks(formula, n) == expected, serialize(formula)
 
 
 def reference_text_sat(text):
@@ -303,6 +438,15 @@ class TestLexmax:
 
 
 class TestOddMaxSatRef:
+    @pytest.mark.parametrize("n", [*range(1, 9), 17, 20, 21])
+    def test_equals_the_last_bit_of_lexmax(self, n):
+        for seed in range(20 if n <= 8 else 4):
+            base = random_formula(seed, n=n, size=25)
+            for body in (base, Not(base), And(base, Not(base))):
+                formula = spanning(body, n)
+                witness = lexmax(formula)
+                assert odd_max_sat_ref(formula) is (witness is not None and witness[-1])
+
     def test_rejects_even_witness(self):
         assert odd_max_sat_ref(parse("(x1&!x2)")) is False
 
