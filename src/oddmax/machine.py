@@ -3,11 +3,11 @@ tagged queries per variable, plus transcripts of single runs and the tree of
 all runs over all possible oracle answers.
 
 On a formula with variables x_1..x_n, iteration i sends the formula with x_i
-pinned true under tag '0' and tag '1'. A yes/no answer pair pins x_i true,
-no/yes pins it false, yes/yes accepts outright, no/no rejects outright; at
-i = n the pin-true case accepts and the pin-false case rejects. Strings that
-fail to parse are rejected without any queries, as are constant formulas,
-which have no variables to pin.
+pinned true under tag '0' and tag '1'. The standard rule table
+(MachineProgram.step) acts on the answers: yes/no pins x_i true, no/yes pins
+it false, yes/yes accepts, no/no rejects; at i = n the pin-true case accepts
+and the pin-false case rejects. Strings that fail to parse are rejected
+without any queries, as are constant formulas, which have no variables to pin.
 
 Runs and trees work on text and walk no AST. The canonical text (folded from
 the input by formula.canonical, or the tree's one serialize) is split at its
@@ -52,7 +52,8 @@ def classify_case(ans0: bool, ans1: bool) -> IterationCase:
 
 @dataclass(frozen=True)
 class MachineProgram:
-    """Behavior table for the loop; the default values are the real machine.
+    """The rule table of the loop, read only through `step` by both the run
+    and the tree; the default values are the real machine.
 
     Mutant tables exist to show that the positivity and equivalence checkers
     together have teeth: each mutant is caught by one of them. Only
@@ -71,6 +72,17 @@ class MachineProgram:
     fix_false_value: bool = False
     fix_true_final: bool = True
     fix_false_final: bool = False
+
+    def step(self, case: IterationCase) -> tuple[bool | None, bool]:
+        """(value, verdict): the value x_i is pinned to, or None when `case`
+        ends the run, and the verdict if the run ends here (pin cases: i = n)."""
+        if case is IterationCase.FIX_TRUE:
+            return self.fix_true_value, self.fix_true_final
+        if case is IterationCase.FIX_FALSE:
+            return self.fix_false_value, self.fix_false_final
+        if case is IterationCase.ACCEPT_BOTH:
+            return None, self.accept_both_verdict
+        return None, self.reject_both_verdict
 
 
 STANDARD_PROGRAM = MachineProgram()
@@ -121,7 +133,8 @@ class Transcript:
         return 2 * len(self.iterations)
 
     def fixed_bits(self) -> tuple[bool, ...]:
-        """Values pinned so far, one per pin-true/pin-false iteration."""
+        """One bit per pin iteration, True where the case was FIX_TRUE: the
+        values pinned under the standard program, not under swap-continuations."""
         pins = (IterationCase.FIX_TRUE, IterationCase.FIX_FALSE)
         return tuple(it.case is pins[0] for it in self.iterations if it.case in pins)
 
@@ -168,18 +181,8 @@ def run_machine(
         ans0, ans1 = oracle(q0), oracle(q1)
         case = classify_case(ans0, ans1)
         iterations.append(Iteration(i, (QueryRecord(q0, ans0), QueryRecord(q1, ans1)), case))
-        if case is IterationCase.ACCEPT_BOTH:
-            verdict = program.accept_both_verdict
-            break
-        if case is IterationCase.REJECT_BOTH:
-            verdict = program.reject_both_verdict
-            break
-        if case is IterationCase.FIX_TRUE:
-            final, value = program.fix_true_final, program.fix_true_value
-        else:
-            final, value = program.fix_false_final, program.fix_false_value
-        if i == n:
-            verdict = final
+        value, verdict = program.step(case)
+        if value is None or i == n:
             break
         if not value:
             for k in slots:
@@ -203,11 +206,6 @@ def decide_oddmaxsat(formula: Formula) -> bool:
 
 
 @dataclass(frozen=True)
-class TreeLeaf:
-    verdict: bool
-
-
-@dataclass(frozen=True)
 class TreeNode:
     """One loop iteration with all four answer-pair edges, in IterationCase order.
 
@@ -217,16 +215,16 @@ class TreeNode:
     iteration: int
     text: str
     queries: tuple[Query, Query]
-    edges: tuple[tuple[IterationCase, Union["TreeNode", TreeLeaf]], ...]
+    edges: tuple[tuple[IterationCase, Union["TreeNode", bool]], ...]
 
-    def edge(self, case: IterationCase) -> Union["TreeNode", TreeLeaf]:
+    def edge(self, case: IterationCase) -> Union["TreeNode", bool]:
         for c, child in self.edges:
             if c is case:
                 return child
         raise KeyError(case)
 
 
-QueryTree = Union[TreeNode, TreeLeaf]
+QueryTree = Union[TreeNode, bool]
 
 
 def build_query_tree(
@@ -235,23 +233,15 @@ def build_query_tree(
     """Materialize every computation branch over all possible oracle answers.
 
     Any single run traces one root-to-leaf path of this tree. A constant
-    formula yields a bare verdict leaf.
+    formula yields the bare verdict False.
     """
     text = serialize(formula)
     pieces, places, n = _split(text)
     if n > TREE_BOUND:
         raise ValueError(f"formula has {n} variables, exceeding the tree bound {TREE_BOUND}")
     if n == 0:
-        return TreeLeaf(False)
-    pins = (  # the continuation cases; leaves are shared, being immutable
-        (IterationCase.FIX_TRUE, program.fix_true_value, TreeLeaf(program.fix_true_final)),
-        (IterationCase.FIX_FALSE, program.fix_false_value, TreeLeaf(program.fix_false_final)),
-    )
-    unanimous = (
-        (IterationCase.ACCEPT_BOTH, TreeLeaf(program.accept_both_verdict)),
-        (IterationCase.REJECT_BOTH, TreeLeaf(program.reject_both_verdict)),
-    )
-    last_edges = (*((case, leaf) for case, _, leaf in pins), *unanimous)
+        return False
+    table = [(case, *program.step(case)) for case in IterationCase]
 
     def node(i: int, text: str, pieces: list[str]) -> TreeNode:
         # `pieces` is `text` split by _split; this call may write into it.
@@ -259,18 +249,17 @@ def build_query_tree(
         for k in slots:
             pieces[k] = "1"
         body = "".join(pieces)
-        edges = last_edges
-        if i < n:
-            continuations = []
-            for case, value, _ in pins:
-                child = pieces.copy()
-                if not value:
-                    for k in slots:
-                        child[k] = "0"
-                child_text = body if value else "".join(child)
-                continuations.append((case, node(i + 1, child_text, child)))
-            edges = (*continuations, *unanimous)
-        return TreeNode(i, text, (Query(body, "0"), Query(body, "1")), edges)
+        edges = []
+        for case, value, verdict in table:
+            if value is None or i == n:
+                edges.append((case, verdict))
+                continue
+            child = pieces.copy()
+            if not value:
+                for k in slots:
+                    child[k] = "0"
+            edges.append((case, node(i + 1, body if value else "".join(child), child)))
+        return TreeNode(i, text, (Query(body, "0"), Query(body, "1")), tuple(edges))
 
     return node(1, text, pieces)
 
@@ -281,7 +270,7 @@ def tree_verdict(tree: QueryTree, oracle: Oracle) -> bool:
     while isinstance(node, TreeNode):
         q0, q1 = node.queries
         node = node.edge(classify_case(oracle(q0), oracle(q1)))
-    return node.verdict
+    return node
 
 
 def tree_queries(tree: QueryTree) -> frozenset[Query]:
@@ -304,8 +293,8 @@ def query_universe(
 
 
 def tree_to_json(tree: QueryTree) -> dict:
-    if isinstance(tree, TreeLeaf):
-        return {"verdict": "accept" if tree.verdict else "reject"}
+    if not isinstance(tree, TreeNode):
+        return {"verdict": "accept" if tree else "reject"}
     return {
         "iteration": tree.iteration,
         "formula": tree.text,
@@ -317,15 +306,15 @@ def tree_to_json(tree: QueryTree) -> dict:
 def render_tree(tree: QueryTree, indent: int = 0) -> str:
     """Indented text dump of the full tree, all four edges per node."""
     pad = "  " * indent
-    if isinstance(tree, TreeLeaf):
-        return f"{pad}{'accept' if tree.verdict else 'reject'}"
+    if not isinstance(tree, TreeNode):
+        return f"{pad}{'accept' if tree else 'reject'}"
     lines = [
         f"{pad}[i={tree.iteration}] {tree.text}  "
         f"queries: {tree.queries[0].wire()} {tree.queries[1].wire()}"
     ]
     for case, child in tree.edges:
-        if isinstance(child, TreeLeaf):
-            lines.append(f"{pad}  {case.value} -> {'accept' if child.verdict else 'reject'}")
-        else:
+        if isinstance(child, TreeNode):
             lines += [f"{pad}  {case.value} ->", render_tree(child, indent + 2)]
+        else:
+            lines.append(f"{pad}  {case.value} -> {'accept' if child else 'reject'}")
     return "\n".join(lines)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import or_
-from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, Union
 
 # `parse` is not called here, but stays bound: the benchmark's tracer tests
 # look the layer up by the name oddmax.oracle.parse.
@@ -35,16 +35,18 @@ BODY_MEMO_SIZE = 1024
 TAGS = ("0", "1")
 
 
-@dataclass(frozen=True, order=True)
-class Query:
-    """One oracle query: a formula body plus the join tag it is aimed at."""
+class Query(NamedTuple("Query", [("body", str), ("tag", str)])):
+    """One oracle query: a formula body plus the join tag it is aimed at.
 
-    body: str
-    tag: str
+    A tuple, so hashing, equality and ordering run in C; a Query equals the
+    plain tuple (body, tag)."""
 
-    def __post_init__(self) -> None:
-        if self.tag not in TAGS:
-            raise ValueError(f"tag must be '0' or '1', got {self.tag!r}")
+    __slots__ = ()
+
+    def __new__(cls, body: str, tag: str) -> "Query":
+        if tag not in TAGS:
+            raise ValueError(f"tag must be '0' or '1', got {tag!r}")
+        return super().__new__(cls, body, tag)
 
     def wire(self) -> str:
         return self.body + self.tag

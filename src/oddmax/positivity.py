@@ -27,7 +27,7 @@ from .machine import (
     MachineProgram,
     STANDARD_PROGRAM,
     QueryTree,
-    TreeLeaf,
+    TreeNode,
     build_query_tree,
     classify_case,
     run_machine,
@@ -115,8 +115,8 @@ MaskTree = Union[tuple, bool]
 
 def _mask_tree(tree: QueryTree, bit: Mapping[Query, int]) -> MaskTree:
     """Compile the tree for `_mask_verdict`; `bit` maps each query to its mask bit."""
-    if isinstance(tree, TreeLeaf):
-        return tree.verdict
+    if not isinstance(tree, TreeNode):
+        return tree
     q0, q1 = tree.queries
     return (bit[q0], bit[q1], *(_mask_tree(child, bit) for _, child in tree.edges))
 
@@ -141,7 +141,7 @@ def check_positivity_exhaustive(
     ValueError when the universe exceeds SUBSET_PAIR_BOUND; fall back to sampling.
     """
     tree = build_query_tree(formula, program)
-    text = serialize(formula) if isinstance(tree, TreeLeaf) else tree.text
+    text = tree.text if isinstance(tree, TreeNode) else serialize(formula)
     universe = tree_queries(tree)
     elements = sorted_universe(universe)
     k = len(elements)
@@ -177,7 +177,7 @@ def check_positivity_sampled(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     tree = build_query_tree(formula, program)
-    text = serialize(formula) if isinstance(tree, TreeLeaf) else tree.text
+    text = tree.text if isinstance(tree, TreeNode) else serialize(formula)
     universe = tree_queries(tree)
     elements = sorted_universe(universe)
     compiled = _mask_tree(tree, {q: 1 << i for i, q in enumerate(elements)})

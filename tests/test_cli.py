@@ -83,6 +83,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: Parses, but overflows the recursive AST walkers (serialize, num_vars, the
+#: SAT back ends); the oracle walks a body only past 20 distinct variables.
+DEEP = "!" * 5000 + "(x1&x2)"
+DEEP_WIDE_QUERY = "!" * 5000 + "(" + "&".join(f"x{i}" for i in range(1, 22)) + ")0"
+TOO_DEEP = (2, "", "error: input nested too deeply\n")
+
+
 class TestDecide:
     def test_accept(self, capsys):
         code, out, _ = run_cli(capsys, "decide", "x1")
@@ -160,6 +167,9 @@ class TestLexmax:
     def test_parse_error(self, capsys):
         assert run_cli(capsys, "lexmax", "(x1")[0] == 2
 
+    def test_deep_input_exits_2(self, capsys):
+        assert run_cli(capsys, "lexmax", DEEP) == TOO_DEEP
+
 
 class TestVerifyEquivalence:
     def test_curated_corpus_passes(self, capsys):
@@ -176,6 +186,11 @@ class TestVerifyEquivalence:
         code, out, _ = run_cli(capsys, "verify-equivalence", "--corpus", str(path))
         assert code == 0
         assert "checked=4 mismatches=0" in out
+
+    def test_deep_corpus_line_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text(DEEP + "\n")
+        assert run_cli(capsys, "verify-equivalence", "--corpus", str(path)) == TOO_DEEP
 
     def test_malformed_corpus_names_the_line(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -255,6 +270,9 @@ class TestVerifyPositivity:
         )
         assert code == 0
         assert "OK" in out and "mode=sampled" in out
+
+    def test_deep_input_exits_2(self, capsys):
+        assert run_cli(capsys, "verify-positivity", DEEP) == TOO_DEEP
 
     def test_universe_too_large_suggests_sampling(self, capsys):
         code, _, err = run_cli(
@@ -448,6 +466,9 @@ class TestTree:
     def test_bound_exceeded(self, capsys):
         assert run_cli(capsys, "tree", "(x1|x11)")[0] == 2
 
+    def test_deep_input_exits_2(self, capsys):
+        assert run_cli(capsys, "tree", DEEP) == TOO_DEEP
+
 
 class TestOracle:
     def test_satisfiable_body_tag_zero(self, capsys):
@@ -464,6 +485,9 @@ class TestOracle:
     def test_deeply_negated_body_is_answered(self, capsys):
         assert run_cli(capsys, "oracle", "!" * 5000 + "(x1&x2)0")[:2] == (0, "yes\n")
         assert run_cli(capsys, "oracle", "!" * 5000 + "(x1&x2)1")[:2] == (1, "no\n")
+
+    def test_deep_body_over_20_variables_exits_2(self, capsys):
+        assert run_cli(capsys, "oracle", DEEP_WIDE_QUERY) == TOO_DEEP
 
     def test_undecodable_string_answers_no(self, capsys):
         assert run_cli(capsys, "oracle", "zz")[:2] == (1, "no\n")

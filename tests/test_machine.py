@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,10 @@ from oddmax.machine import (
     Iteration,
     IterationCase,
     MUTANT_PROGRAMS,
+    MachineProgram,
     STANDARD_PROGRAM,
     QueryRecord,
     Transcript,
-    TreeLeaf,
     TreeNode,
     build_query_tree,
     classify_case,
@@ -112,6 +113,10 @@ class TestRunMachine:
             "tag": "0",
             "answer": True,
         }
+
+
+#: Every rule table: the 64 programs over MachineProgram's six Boolean fields.
+FAMILY = [MachineProgram(*bits) for bits in product((False, True), repeat=6)]
 
 
 def reference_run_machine(text, oracle, program):
@@ -376,22 +381,22 @@ def reference_build_node(formula, i, n, program):
 
     def continuation(value, final):
         if i == n:
-            return TreeLeaf(final)
+            return final
         return reference_build_node(substitute(formula, i, value), i + 1, n, program)
 
     edges = (
         (IterationCase.FIX_TRUE, continuation(program.fix_true_value, program.fix_true_final)),
         (IterationCase.FIX_FALSE, continuation(program.fix_false_value, program.fix_false_final)),
-        (IterationCase.ACCEPT_BOTH, TreeLeaf(program.accept_both_verdict)),
-        (IterationCase.REJECT_BOTH, TreeLeaf(program.reject_both_verdict)),
+        (IterationCase.ACCEPT_BOTH, program.accept_both_verdict),
+        (IterationCase.REJECT_BOTH, program.reject_both_verdict),
     )
     return ReferenceNode(i, formula, queries, edges)
 
 
 def reference_tree_json(node):
     """`tree_to_json` as it read on AST nodes: the formula serialized."""
-    if isinstance(node, TreeLeaf):
-        return {"verdict": "accept" if node.verdict else "reject"}
+    if isinstance(node, bool):
+        return {"verdict": "accept" if node else "reject"}
     return {
         "iteration": node.iteration,
         "formula": serialize(node.formula),
@@ -403,8 +408,8 @@ def reference_tree_json(node):
 def assert_same_tree(tree, reference):
     """Node by node: the text is the reference AST's serialization, and the
     queries, edge cases and leaves are equal."""
-    if isinstance(reference, TreeLeaf):
-        assert tree == reference
+    if isinstance(reference, bool):
+        assert tree is reference
         return
     assert isinstance(tree, TreeNode)
     assert tree.iteration == reference.iteration
@@ -429,11 +434,11 @@ class TestQueryTree:
         assert isinstance(tree, TreeNode)
         assert tree.iteration == 1
         children = [child for _, child in tree.edges]
-        assert all(isinstance(child, TreeLeaf) for child in children)
-        assert tree.edge(IterationCase.FIX_TRUE).verdict is True
-        assert tree.edge(IterationCase.FIX_FALSE).verdict is False
-        assert tree.edge(IterationCase.ACCEPT_BOTH).verdict is True
-        assert tree.edge(IterationCase.REJECT_BOTH).verdict is False
+        assert all(isinstance(child, bool) for child in children)
+        assert tree.edge(IterationCase.FIX_TRUE) is True
+        assert tree.edge(IterationCase.FIX_FALSE) is False
+        assert tree.edge(IterationCase.ACCEPT_BOTH) is True
+        assert tree.edge(IterationCase.REJECT_BOTH) is False
 
     def test_two_variable_tree_has_two_continuation_children(self):
         tree = build_query_tree(parse("(x1&x2)"))
@@ -446,10 +451,10 @@ class TestQueryTree:
             "(1&x2)",
             "(0&x2)",
         }
-        assert isinstance(tree.edge(IterationCase.ACCEPT_BOTH), TreeLeaf)
+        assert isinstance(tree.edge(IterationCase.ACCEPT_BOTH), bool)
 
     def test_constant_formula_is_a_reject_leaf(self):
-        assert build_query_tree(parse("1")) == TreeLeaf(False)
+        assert build_query_tree(parse("1")) is False
 
     def test_bound_exceeded(self):
         with pytest.raises(ValueError):
@@ -520,12 +525,12 @@ class TestQueryTree:
                     assert node.queries == (it.records[0].query, it.records[1].query)
                     assert node.iteration == it.index
                     node = node.edge(it.case)
-                assert isinstance(node, TreeLeaf)
-                assert node.verdict == transcript.verdict
+                assert isinstance(node, bool)
+                assert node == transcript.verdict
 
     def test_tree_verdict_matches_run_machine_for_all_programs(self, corpus):
         rng = random.Random(7)
-        programs = [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()]
+        programs = [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values(), *FAMILY]
         for formula in corpus:
             if not 1 <= num_vars(formula) <= 3:
                 continue
@@ -537,9 +542,9 @@ class TestQueryTree:
                 for _ in range(5):
                     members = frozenset(q for q in ordered if rng.randrange(2))
                     oracle = FiniteOracle(universe, members)
-                    assert tree_verdict(tree, oracle) == run_machine(
-                        text, oracle, program
-                    ).verdict
+                    expected = reference_run_machine(text, oracle, program)
+                    assert run_machine(text, oracle, program).to_json() == expected.to_json()
+                    assert tree_verdict(tree, oracle) == expected.verdict
 
 
 class TestRestrictionSufficiency:
