@@ -38,7 +38,6 @@ from .oracle import (
     FiniteOracle,
     Query,
     enumerate_subset_pairs,
-    join_membership,
     sample_subset_pair,
     sat_join_cosat,
 )
@@ -47,7 +46,6 @@ from .positivity import (
     PositivityReport,
     check_positivity_exhaustive,
     check_positivity_sampled,
-    verify_case_monotonicity,
 )
 from .sat import lexmax, odd_max_sat_ref, sat_bruteforce, sat_dpll
 
@@ -79,7 +77,6 @@ __all__ = [
     "decide_oddmaxsat",
     "enumerate_subset_pairs",
     "evaluate",
-    "join_membership",
     "lexmax",
     "num_vars",
     "odd_max_sat_ref",
@@ -94,5 +91,4 @@ __all__ = [
     "serialize",
     "substitute",
     "tree_verdict",
-    "verify_case_monotonicity",
 ]

@@ -59,17 +59,15 @@ def _trace_lines(transcript: Transcript) -> list[str]:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     transcript = run_machine(args.formula, sat_join_cosat)
+    if args.json:
+        _print_json(transcript.to_json())
     if not transcript.well_formed:
-        if args.json:
-            _print_json(transcript.to_json())
         try:
             parse(args.formula)
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        _print_json(transcript.to_json())
-    else:
+    if not args.json:
         print(_verdict_word(transcript.verdict))
         if args.trace:
             for line in _trace_lines(transcript):

@@ -132,12 +132,6 @@ class Transcript:
     def query_count(self) -> int:
         return 2 * len(self.iterations)
 
-    def fixed_bits(self) -> tuple[bool, ...]:
-        """One bit per pin iteration, True where the case was FIX_TRUE: the
-        values pinned under the standard program, not under swap-continuations."""
-        pins = (IterationCase.FIX_TRUE, IterationCase.FIX_FALSE)
-        return tuple(it.case is pins[0] for it in self.iterations if it.case in pins)
-
     def to_json(self) -> dict:
         return {
             "input": self.input,

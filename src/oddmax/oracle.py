@@ -1,6 +1,6 @@
-"""Oracles over tagged query strings: the join of two sets, the canonical
-satisfiable/unsatisfiable join (one satisfiability call per query, which a
-caller can meter), finite oracles, and subset-pair enumeration.
+"""Oracles over tagged query strings: the canonical satisfiable/unsatisfiable
+join (one satisfiability call per query, which a caller can meter), finite
+oracles, and subset-pair enumeration.
 
 Wire format: the canonical serialization of a formula body immediately
 followed by a single tag character, '0' or '1', with no delimiter. Tag '0'
@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import or_
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 # `parse` is not called here, but stays bound: the benchmark's tracer tests
 # look the layer up by the name oddmax.oracle.parse.
@@ -65,17 +65,6 @@ class Query(NamedTuple("Query", [("body", str), ("tag", str)])):
 
 #: Any deterministic total membership predicate over queries.
 Oracle = Callable[[Query], bool]
-
-SetPredicate = Union[Callable[[str], bool], Collection[str]]
-
-
-def join_membership(query: Query, left: SetPredicate, right: SetPredicate) -> bool:
-    """Membership in the join of two sets: tag '0' asks left, tag '1' right."""
-    side = left if query.tag == "0" else right
-    if callable(side):
-        return bool(side(query.body))
-    return query.body in side
-
 
 @functools.lru_cache(maxsize=BODY_MEMO_SIZE)
 def _body_sat(body: str) -> bool | None:
@@ -187,19 +176,14 @@ def subset_mask_pairs(k: int, rng: random.Random) -> Iterator[tuple[int, int]]:
         yield large & getrandbits(k), large
 
 
-def sample_subset_masks(k: int, rng: random.Random) -> tuple[int, int]:
-    """One draw of `subset_mask_pairs`."""
-    return next(subset_mask_pairs(k, rng))
-
-
 def sample_subset_pair(
     universe: Collection[Query], rng: int | random.Random
 ) -> tuple[frozenset[Query], frozenset[Query]]:
-    """`sample_subset_masks` over the sorted universe, as frozensets. Takes a
-    seed, or a generator for streams of draws; either way the result is
-    deterministic."""
+    """One draw of `subset_mask_pairs` over the sorted universe, as
+    frozensets. Takes a seed, or a generator for streams of draws; either way
+    the result is deterministic."""
     if isinstance(rng, int):
         rng = random.Random(rng)
     elements = sorted_universe(universe)
-    small, large = sample_subset_masks(len(elements), rng)
+    small, large = next(subset_mask_pairs(len(elements), rng))
     return mask_subset(elements, small), mask_subset(elements, large)

@@ -18,18 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import Mapping, Union
 
 from .formula import Formula, serialize
 from .machine import (
-    IterationCase,
     MachineProgram,
     STANDARD_PROGRAM,
     QueryTree,
     TreeNode,
     build_query_tree,
-    classify_case,
     run_machine,
     tree_queries,
     tree_verdict,
@@ -138,7 +136,8 @@ def check_positivity_exhaustive(
     """Sweep every nested oracle pair over the query universe.
 
     Reports the first violation found, or OK after all 3^|U| pairs. Raises
-    ValueError when the universe exceeds SUBSET_PAIR_BOUND; fall back to sampling.
+    ValueError when the formula has more than TREE_BOUND variables (no tree),
+    and when the universe exceeds SUBSET_PAIR_BOUND (fall back to sampling).
     """
     tree = build_query_tree(formula, program)
     text = tree.text if isinstance(tree, TreeNode) else serialize(formula)
@@ -172,7 +171,8 @@ def check_positivity_sampled(
 ) -> PositivityReport:
     """Check `samples` nested pairs drawn from the seeded sampler.
 
-    Raises ValueError when `samples` < 1: a check of no pairs proves nothing.
+    Raises ValueError when `samples` < 1, since a check of no pairs proves
+    nothing, and when the formula has more than TREE_BOUND variables.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -195,21 +195,3 @@ def check_positivity_sampled(
                 ),
             )
     return PositivityReport(text, "sampled", len(universe), samples, seed, None)
-
-
-def verify_case_monotonicity() -> bool:
-    """The finite local law behind monotonicity, swept over all 16 ordered
-    answer-pair combinations: raising answers pointwise can only move toward
-    the accept-both case and away from the reject-both case."""
-    pairs = list(product((False, True), repeat=2))
-    for low in pairs:
-        for high in pairs:
-            if not (low[0] <= high[0] and low[1] <= high[1]):
-                continue
-            low_case = classify_case(*low)
-            high_case = classify_case(*high)
-            if low_case is IterationCase.ACCEPT_BOTH and high_case is not IterationCase.ACCEPT_BOTH:
-                return False
-            if high_case is IterationCase.REJECT_BOTH and low_case is not IterationCase.REJECT_BOTH:
-                return False
-    return True

@@ -6,12 +6,15 @@ tests never trust the code paths they are checking.
 
 from __future__ import annotations
 
+from typing import Callable, Collection, Union
+
 import pytest
 from hypothesis import strategies as st
 
 from oddmax.corpus import curated_corpus
 from oddmax.formula import Formula, evaluate, num_vars, parse, serialize, substitute
-from oddmax.oracle import Query, join_membership
+from oddmax.machine import IterationCase, MachineProgram, STANDARD_PROGRAM
+from oddmax.oracle import Query
 from oddmax.sat import sat_bruteforce
 
 #: Longest text `any_text` draws. Text this short nests at most this deep,
@@ -56,24 +59,37 @@ def reference_lexmax(formula: Formula) -> tuple[bool, ...] | None:
     return found[0] if found else None
 
 
-def reachable_query_wires(formula: Formula) -> set[str]:
+def reachable_query_wires(
+    formula: Formula, program: MachineProgram = STANDARD_PROGRAM
+) -> set[str]:
     """Independent query-universe oracle: plain frontier expansion over the
-    two possible pins per iteration, deduplicated by wire string."""
+    values the program pins on FIX_TRUE and FIX_FALSE, deduplicated by wire
+    string."""
     n = num_vars(formula)
+    values = {program.step(case)[0] for case in (IterationCase.FIX_TRUE, IterationCase.FIX_FALSE)}
     wires: set[str] = set()
     frontier: list[tuple[Formula, int]] = [(formula, 1)]
     while frontier:
         current, i = frontier.pop()
         if i > n:
             continue
-        pinned = substitute(current, i, True)
-        body = serialize(pinned)
+        body = serialize(substitute(current, i, True))
         wires.add(body + "0")
         wires.add(body + "1")
         if i < n:
-            frontier.append((pinned, i + 1))
-            frontier.append((substitute(current, i, False), i + 1))
+            frontier.extend((substitute(current, i, value), i + 1) for value in values)
     return wires
+
+
+SetPredicate = Union[Callable[[str], bool], Collection[str]]
+
+
+def join_membership(query: Query, left: SetPredicate, right: SetPredicate) -> bool:
+    """Membership in the join of two sets: tag '0' asks left, tag '1' right."""
+    side = left if query.tag == "0" else right
+    if callable(side):
+        return bool(side(query.body))
+    return query.body in side
 
 
 def reference_join(query: Query) -> bool:

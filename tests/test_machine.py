@@ -334,7 +334,7 @@ class TestTrueOracleRuns:
             if witness is None:
                 continue
             transcript = run_machine(serialize(formula), sat_join_cosat)
-            assert transcript.fixed_bits() == witness
+            assert tuple(it.case is IterationCase.FIX_TRUE for it in transcript.iterations) == witness
 
 
 class TestQueryUniverse:
@@ -427,6 +427,9 @@ TRICKY_TREE_TEXTS = [
     "(x10&(x1|1))", "!(x3|(0&x1))",
 ]
 
+#: Gapped texts with at most four variables, small enough for the whole FAMILY.
+SMALL_TREE_TEXTS = ["(x1&x3)", "x2", "((x1&x1)|!(x1|x2))", "!(x3|(0&x1))", "((x2|x4)&x1)"]
+
 
 class TestQueryTree:
     def test_single_variable_tree_is_one_node_with_four_leaves(self):
@@ -478,11 +481,13 @@ class TestQueryTree:
         assert built >= 60
 
     @pytest.mark.parametrize(
-        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
-        ids=["standard", *MUTANT_PROGRAMS],
+        "program,texts",
+        [(program, TRICKY_TREE_TEXTS) for program in (STANDARD_PROGRAM, *MUTANT_PROGRAMS.values())]
+        + [(program, SMALL_TREE_TEXTS) for program in FAMILY],
+        ids=["standard", *MUTANT_PROGRAMS, *(f"family-{i:06b}" for i in range(len(FAMILY)))],
     )
-    def test_equals_the_reference_on_gapped_and_prefix_texts(self, program):
-        for text in TRICKY_TREE_TEXTS:
+    def test_equals_the_reference_on_gapped_and_prefix_texts(self, program, texts):
+        for text in texts:
             formula = parse(text)
             tree = build_query_tree(formula, program)
             expected = reference_build_node(formula, 1, num_vars(formula), program)
@@ -490,7 +495,7 @@ class TestQueryTree:
             assert tree_to_json(tree) == reference_tree_json(expected), text
             assert render_tree(tree).splitlines()[0].startswith(f"[i=1] {text}  ")
         universe = query_universe(parse("(x1&x3)"), program)
-        assert {q.wire() for q in universe} == reachable_query_wires(parse("(x1&x3)"))
+        assert {q.wire() for q in universe} == reachable_query_wires(parse("(x1&x3)"), program)
 
     def test_one_serialize_and_no_ast_walk_per_build(self, monkeypatch):
         calls = count_calls(

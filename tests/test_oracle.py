@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import reference_join
+from conftest import join_membership, reference_join
 from oddmax.formula import num_vars, parse
 from oddmax.machine import query_universe
 from oddmax.oracle import (
@@ -16,12 +16,11 @@ from oddmax.oracle import (
     FiniteOracle,
     Query,
     enumerate_subset_pairs,
-    join_membership,
     mask_subset,
-    sample_subset_masks,
     sample_subset_pair,
     sat_join_cosat,
     sorted_universe,
+    subset_mask_pairs,
     subset_pair_rank,
 )
 from oddmax.oracle import _body_sat as body_memo
@@ -311,7 +310,7 @@ class TestSampleSubsetPair:
         for seed in range(5):
             by_pair, by_mask = random.Random(seed), random.Random(seed)
             for _ in range(200):
-                small, large = sample_subset_masks(len(elements), by_mask)
+                small, large = next(subset_mask_pairs(len(elements), by_mask))
                 assert small & ~large == 0
                 assert sample_subset_pair(universe, by_pair) == (
                     mask_subset(elements, small),
@@ -322,5 +321,5 @@ class TestSampleSubsetPair:
     def test_no_elements_draw_nothing(self):
         rng = random.Random(0)
         state = rng.getstate()
-        assert sample_subset_masks(0, rng) == (0, 0)
+        assert next(subset_mask_pairs(0, rng)) == (0, 0)
         assert rng.getstate() == state

@@ -11,11 +11,13 @@ import oddmax.machine
 import oddmax.positivity
 from oddmax.formula import num_vars, parse, serialize
 from oddmax.machine import (
+    IterationCase,
     MUTANT_PROGRAMS,
     MUTANT_SWAP_UNANIMOUS,
     STANDARD_PROGRAM,
     TREE_BOUND,
     build_query_tree,
+    classify_case,
     run_machine,
     tree_queries,
     tree_verdict,
@@ -26,7 +28,6 @@ from oddmax.positivity import (
     _mask_verdict,
     check_positivity_exhaustive,
     check_positivity_sampled,
-    verify_case_monotonicity,
 )
 
 
@@ -302,7 +303,20 @@ class TestMutantReality:
 
 class TestCaseMonotonicity:
     def test_the_local_law_holds(self):
-        assert verify_case_monotonicity() is True
+        # Over all 16 ordered answer-pair combinations, raising answers
+        # pointwise can only move toward the accept-both case and away from
+        # the reject-both case.
+        pairs = list(product((False, True), repeat=2))
+        for low in pairs:
+            for high in pairs:
+                if not (low[0] <= high[0] and low[1] <= high[1]):
+                    continue
+                low_case = classify_case(*low)
+                high_case = classify_case(*high)
+                if low_case is IterationCase.ACCEPT_BOTH:
+                    assert high_case is IterationCase.ACCEPT_BOTH, (low, high)
+                if high_case is IterationCase.REJECT_BOTH:
+                    assert low_case is IterationCase.REJECT_BOTH, (low, high)
 
     def test_spotchecks(self):
         # no/no below yes/no: reject-both versus pin-true is consistent;
