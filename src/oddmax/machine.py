@@ -13,6 +13,11 @@ Runs and trees work on text and walk no AST. The canonical text (folded from
 the input by formula.canonical, or the tree's one serialize) is split at its
 variable tokens, and a body is that text with '1' or '0' written over the
 tokens of x_1..x_i: the string serialize(substitute(...)) gives for those pins.
+
+All runs are expanded in one place, `expand_runs`, which takes the node
+builder as an argument: `build_query_tree` builds TreeNodes with their Query
+pairs, while `query_universe` and the sampled positivity check build bare
+tuples of wire strings (`wire_node`).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, replace
-from typing import Mapping, Union
+from typing import Callable, Mapping, TypeVar, Union
 
 from .formula import Formula, ParseError, canonical, serialize
 from .oracle import Oracle, Query, sat_join_cosat
@@ -220,6 +225,67 @@ class TreeNode:
 
 QueryTree = Union[TreeNode, bool]
 
+#: The tree of all runs over wire strings, as `expand_runs` builds it with
+#: `wire_node`: (wire0, wire1, fix_true, fix_false, accept_both, reject_both)
+#: per node, children in IterationCase order; a leaf is its verdict.
+WireTree = Union[tuple, bool]
+
+_N = TypeVar("_N")
+
+
+def expand_runs(
+    text: str, program: MachineProgram, node: Callable[[int, str, str, list], _N]
+) -> Union[_N, bool]:
+    """Expand every computation branch of the machine over all possible
+    oracle answers, building each iteration with `node`.
+
+    `text` is the formula's canonical text. `node(i, text, body, children)`
+    builds iteration i, which starts from `text` (the pins of x_1..x_{i-1}
+    written in) and asks `body` under both tags; `children` are its four
+    successors in IterationCase order, each a built node or a bare verdict.
+    A constant formula yields the bare verdict False. Raises ValueError when
+    the text has more than TREE_BOUND variables.
+    """
+    pieces, places, n = _split(text)
+    if n > TREE_BOUND:
+        raise ValueError(f"formula has {n} variables, exceeding the tree bound {TREE_BOUND}")
+    if n == 0:
+        return False
+    table = [program.step(case) for case in IterationCase]
+
+    def expand(i: int, text: str, pieces: list[str]) -> _N:
+        # `pieces` is `text` split by _split; this call may write into it.
+        slots = places.get(i, ())
+        for k in slots:
+            pieces[k] = "1"
+        body = "".join(pieces)
+        children = []
+        for value, verdict in table:
+            if value is None or i == n:
+                children.append(verdict)
+                continue
+            child = pieces.copy()
+            if not value:
+                for k in slots:
+                    child[k] = "0"
+            children.append(expand(i + 1, body if value else "".join(child), child))
+        return node(i, text, body, children)
+
+    return expand(1, text, pieces)
+
+
+_CASES = tuple(IterationCase)  # iterating the enum itself runs a Python generator
+
+
+def _tree_node(i: int, text: str, body: str, children: list) -> TreeNode:
+    queries = (Query(body, "0"), Query(body, "1"))
+    return TreeNode(i, text, queries, tuple(zip(_CASES, children)))
+
+
+def wire_node(i: int, text: str, body: str, children: list) -> tuple:
+    """The `expand_runs` node of a WireTree: the two wire strings, then the children."""
+    return (body + "0", body + "1", *children)
+
 
 def build_query_tree(
     formula: Formula, program: MachineProgram = STANDARD_PROGRAM
@@ -229,33 +295,7 @@ def build_query_tree(
     Any single run traces one root-to-leaf path of this tree. A constant
     formula yields the bare verdict False.
     """
-    text = serialize(formula)
-    pieces, places, n = _split(text)
-    if n > TREE_BOUND:
-        raise ValueError(f"formula has {n} variables, exceeding the tree bound {TREE_BOUND}")
-    if n == 0:
-        return False
-    table = [(case, *program.step(case)) for case in IterationCase]
-
-    def node(i: int, text: str, pieces: list[str]) -> TreeNode:
-        # `pieces` is `text` split by _split; this call may write into it.
-        slots = places.get(i, ())
-        for k in slots:
-            pieces[k] = "1"
-        body = "".join(pieces)
-        edges = []
-        for case, value, verdict in table:
-            if value is None or i == n:
-                edges.append((case, verdict))
-                continue
-            child = pieces.copy()
-            if not value:
-                for k in slots:
-                    child[k] = "0"
-            edges.append((case, node(i + 1, body if value else "".join(child), child)))
-        return TreeNode(i, text, (Query(body, "0"), Query(body, "1")), tuple(edges))
-
-    return node(1, text, pieces)
+    return expand_runs(serialize(formula), program, _tree_node)
 
 
 def tree_verdict(tree: QueryTree, oracle: Oracle) -> bool:
@@ -279,11 +319,24 @@ def tree_queries(tree: QueryTree) -> frozenset[Query]:
     return frozenset(queries)
 
 
+def wire_universe(tree: WireTree) -> set[str]:
+    """Every wire string appearing anywhere in the WireTree."""
+    wires: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            wires.update(node[:2])
+            stack.extend(node[2:])
+    return wires
+
+
 def query_universe(
     formula: Formula, program: MachineProgram = STANDARD_PROGRAM
 ) -> frozenset[Query]:
     """The set of queries reachable on the formula under some oracle behavior."""
-    return tree_queries(build_query_tree(formula, program))
+    tree = expand_runs(serialize(formula), program, wire_node)
+    return frozenset(map(Query.from_wire, wire_universe(tree)))
 
 
 def tree_to_json(tree: QueryTree) -> dict:

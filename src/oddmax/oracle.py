@@ -8,7 +8,7 @@ routes a query to the left component of a join, tag '1' to the right.
 
 Subsets of a finite universe are bit masks over `sorted_universe`: bit i
 stands for element i. The exhaustive sweep enumerates nested mask pairs
-(`enumerate_subset_pairs`), sampling draws them (`subset_mask_pairs`), and
+(`enumerate_subset_pairs`), sampling draws them (`subset_mask_draws`), and
 `mask_subset` turns a mask back into a frozenset of queries.
 """
 
@@ -166,14 +166,19 @@ def subset_pair_rank(k: int, small: int, large: int) -> int:
     return int(trits or "0", 3)
 
 
+def subset_mask_draws(k: int, rng: random.Random) -> Iterator[tuple[int, int]]:
+    """The one draw stream of sampled checks: endless pairs (T, R) of masks
+    over k elements, two `getrandbits(k)` calls per pair, T first. T is
+    uniform over the subsets, and S = T & R is uniform over the subsets of T.
+    At k = 0 both calls return 0 and consume no generator state."""
+    bits = map(rng.getrandbits, repeat(k))
+    return zip(bits, bits)
+
+
 def subset_mask_pairs(k: int, rng: random.Random) -> Iterator[tuple[int, int]]:
-    """Endless draws of masks (S, T): T uniform over the subsets of k
-    elements, then S uniform over the subsets of T. Each draw takes two
-    `getrandbits(k)` calls, and none when k = 0."""
-    getrandbits = rng.getrandbits
-    while True:
-        large = getrandbits(k)
-        yield large & getrandbits(k), large
+    """Endless draws of masks (S, T) from `subset_mask_draws`: T uniform over
+    the subsets of k elements, then S uniform over the subsets of T."""
+    return ((large & r, large) for large, r in subset_mask_draws(k, rng))
 
 
 def sample_subset_pair(

@@ -7,11 +7,13 @@ universe, so the restriction loses nothing (the test suite pins this down).
 Both checks name subsets by bit masks: bit i is element i of
 `sorted_universe`. Small universes are swept exhaustively over all 3^|U|
 nested mask pairs of `enumerate_subset_pairs`, against one table of 2^|U|
-verdicts that walks the tree with `tree_verdict` once per mask; larger ones
-are sampled. The sampled check compiles the query tree into nested tuples
-over masks (`_mask_tree`), so a drawn oracle selects its run with two
-integer ANDs per level, and it takes every pair from one `subset_mask_pairs`
-stream. Frozensets and finite oracles are built only to replay a violation.
+verdicts that walks the query tree with `tree_verdict` once per mask; larger
+ones are sampled. The sampled check builds no query tree: it expands the runs
+once into tuples of wire strings (`expand_runs` with `wire_node`), numbers
+the sorted wires, and compiles the tuples into nested tuples over masks
+(`_mask_tree`), so a drawn oracle selects its run with two integer ANDs per
+level. It takes every pair from one `subset_mask_draws` stream. Queries,
+frozensets and finite oracles are built only to replay a violation.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ from .formula import Formula, serialize
 from .machine import (
     MachineProgram,
     STANDARD_PROGRAM,
-    QueryTree,
     TreeNode,
+    WireTree,
     build_query_tree,
+    expand_runs,
     run_machine,
     tree_queries,
     tree_verdict,
+    wire_node,
+    wire_universe,
 )
 from .oracle import (
     FiniteOracle,
@@ -38,7 +43,7 @@ from .oracle import (
     enumerate_subset_pairs,
     mask_subset,
     sorted_universe,
-    subset_mask_pairs,
+    subset_mask_draws,
     subset_pair_rank,
 )
 
@@ -91,14 +96,10 @@ class PositivityReport:
 
 
 def _replayed_counterexample(
-    text: str,
-    universe: frozenset[Query],
-    elements: tuple[Query, ...],
-    small: int,
-    large: int,
-    program: MachineProgram,
+    text: str, elements: tuple[Query, ...], small: int, large: int, program: MachineProgram
 ) -> Counterexample:
     """Replay the mask pair (small, large) over `elements` as two finite oracles."""
+    universe = frozenset(elements)
     small_oracle = FiniteOracle(universe, mask_subset(elements, small))
     large_oracle = FiniteOracle(universe, mask_subset(elements, large))
     small_verdict = run_machine(text, small_oracle, program).verdict
@@ -106,17 +107,27 @@ def _replayed_counterexample(
     return Counterexample(small_oracle, large_oracle, small_verdict, large_verdict)
 
 
-#: A compiled query tree: (bit0, bit1, fix_true, fix_false, accept_both,
-#: reject_both) per node, as a TreeNode's edges; a leaf is its verdict.
+#: A compiled run tree: (bit0, bit1, fix_true, fix_false, accept_both,
+#: reject_both) per node, as a WireTree's; a leaf is its verdict.
 MaskTree = Union[tuple, bool]
 
 
-def _mask_tree(tree: QueryTree, bit: Mapping[Query, int]) -> MaskTree:
-    """Compile the tree for `_mask_verdict`; `bit` maps each query to its mask bit."""
-    if not isinstance(tree, TreeNode):
+def _mask_tree(tree: WireTree, bit: Mapping[str, int]) -> MaskTree:
+    """Compile the tree for `_mask_verdict`; `bit` maps each wire to its mask bit."""
+    if type(tree) is not tuple:
         return tree
-    q0, q1 = tree.queries
-    return (bit[q0], bit[q1], *(_mask_tree(child, bit) for _, child in tree.edges))
+    wire0, wire1, *children = tree
+    return (bit[wire0], bit[wire1], *[_mask_tree(child, bit) for child in children])
+
+
+def _compile(formula: Formula, program: MachineProgram) -> tuple[str, list[str], MaskTree]:
+    """The report text, the universe's wires in `sorted_universe` order, and
+    the mask tree over them, from one expansion of the runs. Raises
+    ValueError past TREE_BOUND."""
+    text = serialize(formula)
+    tree = expand_runs(text, program, wire_node)
+    wires = sorted(wire_universe(tree))
+    return text, wires, _mask_tree(tree, {wire: 1 << i for i, wire in enumerate(wires)})
 
 
 def _mask_verdict(node: MaskTree, mask: int) -> bool:
@@ -156,9 +167,7 @@ def check_positivity_exhaustive(
                 universe_size=k,
                 pairs_checked=subset_pair_rank(k, small, large) + 1,
                 seed=None,
-                violation=_replayed_counterexample(
-                    text, universe, elements, small, large, program
-                ),
+                violation=_replayed_counterexample(text, elements, small, large, program),
             )
     return PositivityReport(text, "exhaustive", k, 3**k, None, None)
 
@@ -176,22 +185,18 @@ def check_positivity_sampled(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    tree = build_query_tree(formula, program)
-    text = tree.text if isinstance(tree, TreeNode) else serialize(formula)
-    universe = tree_queries(tree)
-    elements = sorted_universe(universe)
-    compiled = _mask_tree(tree, {q: 1 << i for i, q in enumerate(elements)})
-    draws = islice(subset_mask_pairs(len(elements), random.Random(seed)), samples)
-    for checked, (small, large) in enumerate(draws, 1):
+    text, wires, compiled = _compile(formula, program)
+    draws = islice(subset_mask_draws(len(wires), random.Random(seed)), samples)
+    for checked, (large, r) in enumerate(draws, 1):
+        small = large & r
         if _mask_verdict(compiled, small) and not _mask_verdict(compiled, large):
+            elements = tuple(map(Query.from_wire, wires))
             return PositivityReport(
                 formula=text,
                 mode="sampled",
-                universe_size=len(universe),
+                universe_size=len(wires),
                 pairs_checked=checked,
                 seed=seed,
-                violation=_replayed_counterexample(
-                    text, universe, elements, small, large, program
-                ),
+                violation=_replayed_counterexample(text, elements, small, large, program),
             )
-    return PositivityReport(text, "sampled", len(universe), samples, seed, None)
+    return PositivityReport(text, "sampled", len(wires), samples, seed, None)

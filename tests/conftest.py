@@ -6,6 +6,7 @@ tests never trust the code paths they are checking.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Collection, Union
 
 import pytest
@@ -35,6 +36,21 @@ any_text = st.one_of(
         st.text(alphabet="x019()!&|", max_size=20),
     ),
 )
+
+
+#: Every rule table: the 64 programs over MachineProgram's six Boolean fields.
+FAMILY = [MachineProgram(*bits) for bits in product((False, True), repeat=6)]
+
+
+#: Gapped indices (sibling bodies coincide, so the universe must dedupe),
+#: prefix collisions between x1 and x10, repeated tokens and constants.
+TRICKY_TREE_TEXTS = [
+    "(x1&x3)", "(x1|x10)", "((x2|x10)&x1)", "x2", "((x1&x1)|!(x1|x2))",
+    "(x10&(x1|1))", "!(x3|(0&x1))",
+]
+
+#: Gapped texts with at most four variables, small enough for the whole FAMILY.
+SMALL_TREE_TEXTS = ["(x1&x3)", "x2", "((x1&x1)|!(x1|x2))", "!(x3|(0&x1))", "((x2|x4)&x1)"]
 
 
 @pytest.fixture(scope="session")

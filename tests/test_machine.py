@@ -5,12 +5,18 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import any_text, reachable_query_wires, reference_lexmax
+from conftest import (
+    FAMILY,
+    SMALL_TREE_TEXTS,
+    TRICKY_TREE_TEXTS,
+    any_text,
+    reachable_query_wires,
+    reference_lexmax,
+)
 from oddmax.formula import (
     And,
     Const,
@@ -28,7 +34,6 @@ from oddmax.machine import (
     Iteration,
     IterationCase,
     MUTANT_PROGRAMS,
-    MachineProgram,
     STANDARD_PROGRAM,
     QueryRecord,
     Transcript,
@@ -113,10 +118,6 @@ class TestRunMachine:
             "tag": "0",
             "answer": True,
         }
-
-
-#: Every rule table: the 64 programs over MachineProgram's six Boolean fields.
-FAMILY = [MachineProgram(*bits) for bits in product((False, True), repeat=6)]
 
 
 def reference_run_machine(text, oracle, program):
@@ -418,17 +419,6 @@ def assert_same_tree(tree, reference):
     assert [case for case, _ in tree.edges] == [case for case, _ in reference.edges]
     for (_, child), (_, expected) in zip(tree.edges, reference.edges):
         assert_same_tree(child, expected)
-
-
-#: Gapped indices (sibling bodies coincide, so the universe must dedupe),
-#: prefix collisions between x1 and x10, repeated tokens and constants.
-TRICKY_TREE_TEXTS = [
-    "(x1&x3)", "(x1|x10)", "((x2|x10)&x1)", "x2", "((x1&x1)|!(x1|x2))",
-    "(x10&(x1|1))", "!(x3|(0&x1))",
-]
-
-#: Gapped texts with at most four variables, small enough for the whole FAMILY.
-SMALL_TREE_TEXTS = ["(x1&x3)", "x2", "((x1&x1)|!(x1|x2))", "!(x3|(0&x1))", "((x2|x4)&x1)"]
 
 
 class TestQueryTree:

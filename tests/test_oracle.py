@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from oddmax.oracle import (
     sample_subset_pair,
     sat_join_cosat,
     sorted_universe,
+    subset_mask_draws,
     subset_mask_pairs,
     subset_pair_rank,
 )
@@ -317,6 +318,17 @@ class TestSampleSubsetPair:
                     mask_subset(elements, large),
                 )
             assert by_pair.getstate() == by_mask.getstate()
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 33, 126])
+    def test_the_one_draw_stream(self, k):
+        # Two getrandbits(k) calls per draw, T first; subset_mask_pairs reads
+        # the same stream, so both give the same pairs bit for bit.
+        raw, streamed, paired = random.Random(k), random.Random(k), random.Random(k)
+        draws = list(islice(subset_mask_draws(k, streamed), 50))
+        assert draws == [(raw.getrandbits(k), raw.getrandbits(k)) for _ in range(50)]
+        pairs = list(islice(subset_mask_pairs(k, paired), 50))
+        assert pairs == [(large & r, large) for large, r in draws]
+        assert raw.getstate() == streamed.getstate() == paired.getstate()
 
     def test_no_elements_draw_nothing(self):
         rng = random.Random(0)

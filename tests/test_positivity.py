@@ -9,6 +9,7 @@ import pytest
 
 import oddmax.machine
 import oddmax.positivity
+from conftest import FAMILY, SMALL_TREE_TEXTS, TRICKY_TREE_TEXTS
 from oddmax.formula import num_vars, parse, serialize
 from oddmax.machine import (
     IterationCase,
@@ -16,15 +17,17 @@ from oddmax.machine import (
     MUTANT_SWAP_UNANIMOUS,
     STANDARD_PROGRAM,
     TREE_BOUND,
+    TreeNode,
     build_query_tree,
     classify_case,
+    query_universe,
     run_machine,
     tree_queries,
     tree_verdict,
 )
-from oddmax.oracle import SUBSET_PAIR_BOUND, mask_subset, sorted_universe
+from oddmax.oracle import SUBSET_PAIR_BOUND, Query, mask_subset, sorted_universe
 from oddmax.positivity import (
-    _mask_tree,
+    _compile,
     _mask_verdict,
     check_positivity_exhaustive,
     check_positivity_sampled,
@@ -71,6 +74,16 @@ def reference_exhaustive(formula, program):
         if verdict(small) and not verdict(large):
             return checked, sorted(q.wire() for q in small), sorted(q.wire() for q in large)
     return checked, None, None
+
+
+def reference_mask_tree(tree, bit):
+    """The sampled check's compile as it stood on the query tree: each
+    TreeNode becomes (bit of query 0, bit of query 1, *children in edge
+    order), each leaf its verdict; `bit` maps each Query to its mask bit."""
+    if not isinstance(tree, TreeNode):
+        return tree
+    q0, q1 = tree.queries
+    return (bit[q0], bit[q1], *(reference_mask_tree(child, bit) for _, child in tree.edges))
 
 
 def outcome(report):
@@ -212,7 +225,7 @@ class TestSampled:
     )
     def test_equals_the_frozenset_reference(self, program, corpus):
         for formula in corpus:
-            if num_vars(formula) > 4:
+            if num_vars(formula) > 6:
                 continue
             for seed in (0, 1, 2):
                 report = check_positivity_sampled(formula, samples=60, seed=seed, program=program)
@@ -224,6 +237,12 @@ class TestSampled:
                 )
                 expected = reference_sampled(formula, 60, seed, program)
                 assert got == expected, (serialize(formula), seed)
+
+
+def identity_formulas(corpus):
+    """The curated formulas with n <= 6 and the gapped texts, which reach x10."""
+    texts = dict.fromkeys(TRICKY_TREE_TEXTS + SMALL_TREE_TEXTS)
+    return [f for f in corpus if num_vars(f) <= 6] + [parse(text) for text in texts]
 
 
 class TestMaskTree:
@@ -242,28 +261,77 @@ class TestMaskTree:
             elements = sorted_universe(tree_queries(tree))
             if len(elements) > SUBSET_PAIR_BOUND:
                 continue
-            compiled = _mask_tree(tree, {q: 1 << i for i, q in enumerate(elements)})
+            compiled = _compile(formula, program)[2]
             for mask in range(1 << len(elements)):
                 expected = tree_verdict(tree, mask_subset(elements, mask).__contains__)
                 assert _mask_verdict(compiled, mask) == expected, (serialize(formula), mask)
                 checked += 1
         assert checked > 4000
 
-    def test_sampled_check_never_walks_the_query_tree(self, monkeypatch):
+    @pytest.mark.parametrize("program", FAMILY, ids=[f"family-{i:06b}" for i in range(64)])
+    def test_compile_and_universe_equal_the_query_tree_reference(self, program, corpus):
+        for formula in identity_formulas(corpus):
+            tree = build_query_tree(formula, program)
+            universe = tree_queries(tree)
+            elements = sorted_universe(universe)
+            text, wires, compiled = _compile(formula, program)
+            assert text == serialize(formula)
+            assert wires == [q.wire() for q in elements], serialize(formula)
+            bit = {q: 1 << i for i, q in enumerate(elements)}
+            assert compiled == reference_mask_tree(tree, bit), serialize(formula)
+            assert query_universe(formula, program) == universe, serialize(formula)
+
+    def count_calls(self, monkeypatch, module, name) -> list:
         calls = []
-        original = oddmax.positivity.tree_verdict
+        original = getattr(module, name)
 
-        def counting(tree, oracle):
-            calls.append(tree)
-            return original(tree, oracle)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(oddmax.positivity, "tree_verdict", counting)
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_sampled_check_never_walks_the_query_tree(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, oddmax.positivity, "tree_verdict")
         report = check_positivity_sampled(parse("((x1|x2)&(x3|x4))"), samples=500, seed=5)
         assert report.ok and report.pairs_checked == 500
         assert calls == []
         # The wrapper is live: the exhaustive sweep still walks the tree.
         assert check_positivity_exhaustive(parse("x1")).ok
         assert len(calls) == 4
+
+    def test_sampled_check_builds_no_query_tree(self, monkeypatch):
+        calls = [
+            self.count_calls(monkeypatch, module, "build_query_tree")
+            for module in (oddmax.positivity, oddmax.machine)
+        ]
+        report = check_positivity_sampled(parse("((x1|x2)&(x3|x4))"), samples=500, seed=5)
+        assert report.ok and report.pairs_checked == 500
+        assert calls == [[], []]
+        # The wrapper is live: the exhaustive sweep still builds the tree.
+        assert check_positivity_exhaustive(parse("x1")).ok
+        assert [len(c) for c in calls] == [1, 0]
+
+    def test_sampled_check_builds_queries_only_to_replay_a_violation(self, monkeypatch):
+        built = []
+        original = Query.__new__
+
+        def counting(cls, body, tag):
+            built.append(body + tag)
+            return original(cls, body, tag)
+
+        monkeypatch.setattr(Query, "__new__", counting)
+        report = check_positivity_sampled(parse("((x1|x2)&(x3|x4))"), samples=500, seed=5)
+        assert report.ok and built == []
+        report = check_positivity_sampled(
+            parse("(x1&(x2&x3))"), samples=10_000, seed=3, program=MUTANT_SWAP_UNANIMOUS
+        )
+        assert not report.ok
+        # The universe's elements for the two finite oracles, then the queries
+        # of the two replayed runs.
+        assert built[:14] == sorted(q.wire() for q in report.violation.large.universe)
+        assert len(built) > 14
 
 
 class TestMutantReality:
@@ -380,4 +448,6 @@ class TestReportText:
         formula = parse("(!1|0)")
         report = check(formula)
         assert (report.formula, report.universe_size, report.ok) == ("(!1|0)", 0, True)
-        assert serialized == [formula, formula]
+        # The sampled check serializes once for its expansion and its report;
+        # the exhaustive check's tree has no root text to take it from.
+        assert serialized == [formula] * (2 if check is check_positivity_exhaustive else 1)
