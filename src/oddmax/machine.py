@@ -15,9 +15,11 @@ variable tokens, and a body is that text with '1' or '0' written over the
 tokens of x_1..x_i: the string serialize(substitute(...)) gives for those pins.
 
 All runs are expanded in one place, `expand_runs`, which takes the node
-builder as an argument: `build_query_tree` builds TreeNodes with their Query
-pairs, while `query_universe` and the sampled positivity check build bare
-tuples of wire strings (`wire_node`).
+builder as an argument, and every tree has one node layout: the two queries,
+then the four children in IterationCase order. `build_query_tree` builds
+TreeNodes, which hold Query objects and then the iteration and its text; the
+sampled positivity check builds bare tuples of the two wire strings and the
+children (`wire_node`). `tree_queries` walks either tree.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, TypeVar, Union
+from typing import Callable, Mapping, NamedTuple, TypeVar, Union
 
 from .formula import Formula, ParseError, canonical, serialize
 from .oracle import Oracle, Query, sat_join_cosat
@@ -204,30 +206,38 @@ def decide_oddmaxsat(formula: Formula) -> bool:
     return run_machine(serialize(formula), sat_join_cosat).verdict
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One loop iteration with all four answer-pair edges, in IterationCase order.
+class TreeNode(NamedTuple):
+    """One loop iteration with its two queries and its four successors, in
+    IterationCase order, each a node or a bare verdict.
 
-    `text` is the canonical text the iteration starts from: the formula with
-    the pins of x_1..x_{i-1} written in."""
+    The first six slots are a WireTree node's, with Query objects in place of
+    wire strings. `text` is the canonical text the iteration starts from: the
+    formula with the pins of x_1..x_{i-1} written in."""
 
+    query0: Query
+    query1: Query
+    fix_true: QueryTree
+    fix_false: QueryTree
+    accept_both: QueryTree
+    reject_both: QueryTree
     iteration: int
     text: str
-    queries: tuple[Query, Query]
-    edges: tuple[tuple[IterationCase, Union["TreeNode", bool]], ...]
 
-    def edge(self, case: IterationCase) -> Union["TreeNode", bool]:
-        for c, child in self.edges:
-            if c is case:
-                return child
-        raise KeyError(case)
+    @property
+    def queries(self) -> tuple[Query, Query]:
+        return self[:2]
+
+    @property
+    def edges(self) -> tuple[tuple[IterationCase, QueryTree], ...]:
+        """(case, child) pairs, for the JSON and text dumps."""
+        return tuple(zip(IterationCase, self[2:6]))
 
 
 QueryTree = Union[TreeNode, bool]
 
 #: The tree of all runs over wire strings, as `expand_runs` builds it with
-#: `wire_node`: (wire0, wire1, fix_true, fix_false, accept_both, reject_both)
-#: per node, children in IterationCase order; a leaf is its verdict.
+#: `wire_node`: a TreeNode's first six slots, with the wire strings in place
+#: of the queries; a leaf is its verdict.
 WireTree = Union[tuple, bool]
 
 _N = TypeVar("_N")
@@ -274,12 +284,8 @@ def expand_runs(
     return expand(1, text, pieces)
 
 
-_CASES = tuple(IterationCase)  # iterating the enum itself runs a Python generator
-
-
 def _tree_node(i: int, text: str, body: str, children: list) -> TreeNode:
-    queries = (Query(body, "0"), Query(body, "1"))
-    return TreeNode(i, text, queries, tuple(zip(_CASES, children)))
+    return TreeNode(Query(body, "0"), Query(body, "1"), *children, i, text)
 
 
 def wire_node(i: int, text: str, body: str, children: list) -> tuple:
@@ -301,42 +307,33 @@ def build_query_tree(
 def tree_verdict(tree: QueryTree, oracle: Oracle) -> bool:
     """Verdict of the run the oracle selects through the tree."""
     node = tree
-    while isinstance(node, TreeNode):
-        q0, q1 = node.queries
-        node = node.edge(classify_case(oracle(q0), oracle(q1)))
+    while type(node) is TreeNode:
+        q0, q1, fix_true, fix_false, accept_both, reject_both, _, _ = node
+        if oracle(q0):
+            node = accept_both if oracle(q1) else fix_true
+        else:
+            node = fix_false if oracle(q1) else reject_both
     return node
 
 
-def tree_queries(tree: QueryTree) -> frozenset[Query]:
-    """Every query appearing anywhere in the tree."""
-    queries: set[Query] = set()
-    stack: list[QueryTree] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TreeNode):
-            queries.update(node.queries)
-            stack.extend(child for _, child in node.edges)
-    return frozenset(queries)
-
-
-def wire_universe(tree: WireTree) -> set[str]:
-    """Every wire string appearing anywhere in the WireTree."""
-    wires: set[str] = set()
+def tree_queries(tree: Union[QueryTree, WireTree]) -> frozenset:
+    """Every query appearing anywhere in the tree: the Query objects of a
+    QueryTree, the wire strings of a WireTree."""
+    queries = set()
     stack = [tree]
     while stack:
         node = stack.pop()
-        if type(node) is tuple:
-            wires.update(node[:2])
-            stack.extend(node[2:])
-    return wires
+        if isinstance(node, tuple):
+            queries.update(node[:2])
+            stack.extend(node[2:6])
+    return frozenset(queries)
 
 
 def query_universe(
     formula: Formula, program: MachineProgram = STANDARD_PROGRAM
 ) -> frozenset[Query]:
     """The set of queries reachable on the formula under some oracle behavior."""
-    tree = expand_runs(serialize(formula), program, wire_node)
-    return frozenset(map(Query.from_wire, wire_universe(tree)))
+    return tree_queries(build_query_tree(formula, program))
 
 
 def tree_to_json(tree: QueryTree) -> dict:

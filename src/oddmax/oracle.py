@@ -175,20 +175,14 @@ def subset_mask_draws(k: int, rng: random.Random) -> Iterator[tuple[int, int]]:
     return zip(bits, bits)
 
 
-def subset_mask_pairs(k: int, rng: random.Random) -> Iterator[tuple[int, int]]:
-    """Endless draws of masks (S, T) from `subset_mask_draws`: T uniform over
-    the subsets of k elements, then S uniform over the subsets of T."""
-    return ((large & r, large) for large, r in subset_mask_draws(k, rng))
-
-
 def sample_subset_pair(
     universe: Collection[Query], rng: int | random.Random
 ) -> tuple[frozenset[Query], frozenset[Query]]:
-    """One draw of `subset_mask_pairs` over the sorted universe, as
-    frozensets. Takes a seed, or a generator for streams of draws; either way
-    the result is deterministic."""
+    """One draw of `subset_mask_draws` over the sorted universe, as the
+    frozensets (S, T) with S = T & R. Takes a seed, or a generator for
+    streams of draws; either way the result is deterministic."""
     if isinstance(rng, int):
         rng = random.Random(rng)
     elements = sorted_universe(universe)
-    small, large = next(subset_mask_pairs(len(elements), rng))
-    return mask_subset(elements, small), mask_subset(elements, large)
+    large, r = next(subset_mask_draws(len(elements), rng))
+    return mask_subset(elements, large & r), mask_subset(elements, large)

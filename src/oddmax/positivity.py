@@ -9,11 +9,12 @@ Both checks name subsets by bit masks: bit i is element i of
 nested mask pairs of `enumerate_subset_pairs`, against one table of 2^|U|
 verdicts that walks the query tree with `tree_verdict` once per mask; larger
 ones are sampled. The sampled check builds no query tree: it expands the runs
-once into tuples of wire strings (`expand_runs` with `wire_node`), numbers
-the sorted wires, and compiles the tuples into nested tuples over masks
+once into the wire tree (`expand_runs` with `wire_node`), numbers the sorted
+wires, and compiles the wire tree into the same node layout over masks
 (`_mask_tree`), so a drawn oracle selects its run with two integer ANDs per
-level. It takes every pair from one `subset_mask_draws` stream. Queries,
-frozensets and finite oracles are built only to replay a violation.
+level, reading the slots as `tree_verdict` does. It takes every pair from
+one `subset_mask_draws` stream. Queries, frozensets and finite oracles are
+built only to replay a violation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .machine import (
     tree_queries,
     tree_verdict,
     wire_node,
-    wire_universe,
 )
 from .oracle import (
     FiniteOracle,
@@ -107,8 +107,9 @@ def _replayed_counterexample(
     return Counterexample(small_oracle, large_oracle, small_verdict, large_verdict)
 
 
-#: A compiled run tree: (bit0, bit1, fix_true, fix_false, accept_both,
-#: reject_both) per node, as a WireTree's; a leaf is its verdict.
+#: A compiled run tree: a WireTree with each wire string replaced by its
+#: mask bit, (bit0, bit1, fix_true, fix_false, accept_both, reject_both) per
+#: node; a leaf is its verdict.
 MaskTree = Union[tuple, bool]
 
 
@@ -126,7 +127,7 @@ def _compile(formula: Formula, program: MachineProgram) -> tuple[str, list[str],
     ValueError past TREE_BOUND."""
     text = serialize(formula)
     tree = expand_runs(text, program, wire_node)
-    wires = sorted(wire_universe(tree))
+    wires = sorted(tree_queries(tree))
     return text, wires, _mask_tree(tree, {wire: 1 << i for i, wire in enumerate(wires)})
 
 

@@ -41,12 +41,14 @@ from oddmax.machine import (
     build_query_tree,
     classify_case,
     decide_oddmaxsat,
+    expand_runs,
     query_universe,
     render_tree,
     run_machine,
     tree_queries,
     tree_to_json,
     tree_verdict,
+    wire_node,
 )
 import oddmax.machine
 import oddmax.oracle
@@ -421,6 +423,14 @@ def assert_same_tree(tree, reference):
         assert_same_tree(child, expected)
 
 
+def wire_layout(tree):
+    """The query tree with each Query as its wire and (iteration, text) dropped."""
+    if isinstance(tree, bool):
+        return tree
+    query0, query1, *children, _, _ = tree
+    return (query0.wire(), query1.wire(), *map(wire_layout, children))
+
+
 class TestQueryTree:
     def test_single_variable_tree_is_one_node_with_four_leaves(self):
         tree = build_query_tree(parse("x1"))
@@ -428,23 +438,20 @@ class TestQueryTree:
         assert tree.iteration == 1
         children = [child for _, child in tree.edges]
         assert all(isinstance(child, bool) for child in children)
-        assert tree.edge(IterationCase.FIX_TRUE) is True
-        assert tree.edge(IterationCase.FIX_FALSE) is False
-        assert tree.edge(IterationCase.ACCEPT_BOTH) is True
-        assert tree.edge(IterationCase.REJECT_BOTH) is False
+        assert tree.fix_true is True
+        assert tree.fix_false is False
+        assert tree.accept_both is True
+        assert tree.reject_both is False
 
     def test_two_variable_tree_has_two_continuation_children(self):
         tree = build_query_tree(parse("(x1&x2)"))
-        continuations = [
-            tree.edge(IterationCase.FIX_TRUE),
-            tree.edge(IterationCase.FIX_FALSE),
-        ]
+        continuations = [tree.fix_true, tree.fix_false]
         assert all(isinstance(child, TreeNode) for child in continuations)
         assert {child.text for child in continuations} == {
             "(1&x2)",
             "(0&x2)",
         }
-        assert isinstance(tree.edge(IterationCase.ACCEPT_BOTH), bool)
+        assert isinstance(tree.accept_both, bool)
 
     def test_constant_formula_is_a_reject_leaf(self):
         assert build_query_tree(parse("1")) is False
@@ -519,9 +526,36 @@ class TestQueryTree:
                     assert isinstance(node, TreeNode)
                     assert node.queries == (it.records[0].query, it.records[1].query)
                     assert node.iteration == it.index
-                    node = node.edge(it.case)
+                    node = getattr(node, it.case.name.lower())
                 assert isinstance(node, bool)
                 assert node == transcript.verdict
+
+    @pytest.mark.parametrize(
+        "program", FAMILY, ids=[f"family-{i:06b}" for i in range(len(FAMILY))]
+    )
+    def test_one_node_layout_and_the_run_order_of_queries(self, program, corpus):
+        texts = SMALL_TREE_TEXTS + [serialize(f) for f in corpus if num_vars(f) <= 6]
+        rng = random.Random(17)
+        for text in texts:
+            formula = parse(text)
+            tree = build_query_tree(formula, program)
+            wires = expand_runs(serialize(formula), program, wire_node)
+            assert wire_layout(tree) == wires, text
+            universe = frozenset(query_universe(formula, program))
+            ordered = sorted(universe, key=Query.wire)
+            for _ in range(5):
+                oracle = FiniteOracle(universe, frozenset(q for q in ordered if rng.randrange(2)))
+                asked = []
+
+                def recording(query: Query) -> bool:
+                    asked.append(query)
+                    return oracle(query)
+
+                verdict = tree_verdict(tree, recording)
+                transcript = run_machine(text, oracle, program)
+                assert asked == [rec.query for it in transcript.iterations for rec in it.records]
+                assert [query.tag for query in asked] == ["0", "1"] * len(transcript.iterations)
+                assert verdict == transcript.verdict
 
     def test_tree_verdict_matches_run_machine_for_all_programs(self, corpus):
         rng = random.Random(7)

@@ -21,7 +21,6 @@ from oddmax.oracle import (
     sat_join_cosat,
     sorted_universe,
     subset_mask_draws,
-    subset_mask_pairs,
     subset_pair_rank,
 )
 from oddmax.oracle import _body_sat as body_memo
@@ -311,7 +310,8 @@ class TestSampleSubsetPair:
         for seed in range(5):
             by_pair, by_mask = random.Random(seed), random.Random(seed)
             for _ in range(200):
-                small, large = next(subset_mask_pairs(len(elements), by_mask))
+                large, r = next(subset_mask_draws(len(elements), by_mask))
+                small = large & r
                 assert small & ~large == 0
                 assert sample_subset_pair(universe, by_pair) == (
                     mask_subset(elements, small),
@@ -321,17 +321,18 @@ class TestSampleSubsetPair:
 
     @pytest.mark.parametrize("k", [0, 1, 5, 33, 126])
     def test_the_one_draw_stream(self, k):
-        # Two getrandbits(k) calls per draw, T first; subset_mask_pairs reads
-        # the same stream, so both give the same pairs bit for bit.
+        # Two getrandbits(k) calls per draw, T first; a stream started afresh
+        # for each draw, as sample_subset_pair does, gives the same pairs bit
+        # for bit.
         raw, streamed, paired = random.Random(k), random.Random(k), random.Random(k)
         draws = list(islice(subset_mask_draws(k, streamed), 50))
         assert draws == [(raw.getrandbits(k), raw.getrandbits(k)) for _ in range(50)]
-        pairs = list(islice(subset_mask_pairs(k, paired), 50))
-        assert pairs == [(large & r, large) for large, r in draws]
+        pairs = [next(subset_mask_draws(k, paired)) for _ in range(50)]
+        assert pairs == draws
         assert raw.getstate() == streamed.getstate() == paired.getstate()
 
     def test_no_elements_draw_nothing(self):
         rng = random.Random(0)
         state = rng.getstate()
-        assert next(subset_mask_pairs(0, rng)) == (0, 0)
+        assert next(subset_mask_draws(0, rng)) == (0, 0)
         assert rng.getstate() == state
