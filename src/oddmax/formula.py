@@ -14,19 +14,21 @@ Grammar accepted by :func:`parse`::
 Unparenthesized operator chains associate to the left. Digits are ASCII,
 and variable indices stop at ``MAX_VAR_INDEX``.
 
-:func:`parse` is one loop over regex tokens (a variable with its digits, or
-one character). It keeps the open "|" and "&" chains and the pending "!"s of
-each open parenthesis on an explicit stack, so nesting depth costs no
-recursion, and computes a token's offset only for a ParseError. The loop
-(``_fold``) takes its algebra as arguments: parse folds the tokens into AST
-nodes, :func:`canonical` into the canonical text itself, and
+:func:`parse` is one loop over the tokens of the text: a variable with its
+digits, or one character. The tokens come from one ``re.split`` at the
+variable tokens (``_VARIABLE``, the pattern the machine splits its text
+with too), the pieces between them broken into characters. The loop keeps
+the open "|" and "&" chains and the pending "!"s of each open parenthesis
+on an explicit stack, so nesting depth costs no recursion, and computes a
+token's offset only for a ParseError. The loop (``_fold``) takes its
+algebra as arguments: parse folds the tokens into AST nodes,
+:func:`canonical` into the canonical text itself, and
 :func:`oddmax.sat.text_satisfiable` into bit-parallel truth-table columns,
-so all three share one grammar and one set of error messages and
-positions. The leaves
-``Var(1)`` .. ``Var(MAX_VAR_INDEX)``, ``TRUE`` and ``FALSE`` are built once
-at import: parse, substitute and the SAT layer's constant folding return
-these shared objects instead of building new ones. The AST walkers dispatch
-on ``type(node) is C``.
+so all three share one tokenizer, one grammar and one set of error messages
+and positions. The leaves ``Var(1)`` .. ``Var(MAX_VAR_INDEX)``, ``TRUE`` and
+``FALSE`` are built once at import: parse, substitute and the SAT layer's
+constant folding return these shared objects instead of building new ones.
+The AST walkers dispatch on ``type(node) is C``.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def parse(text: str) -> Formula:
     The grammar is strict: no whitespace, no trailing characters. Variable
     indices above MAX_VAR_INDEX are rejected like malformed text.
     """
-    return _fold(text, _TOKEN.findall(text), _LEAVES, Not, And, Or)
+    return _fold(text, _tokens(text), _LEAVES, Not, And, Or)
 
 
 def canonical(text: str) -> str:
@@ -109,7 +111,7 @@ def canonical(text: str) -> str:
 
     Raises the ParseError parse raises. No recursion, so any depth is fine.
     """
-    return _fold(text, _TOKEN.findall(text), _TEXTS, "!".__add__,
+    return _fold(text, _tokens(text), _TEXTS, "!".__add__,
                  lambda a, b: f"({a}&{b})", lambda a, b: f"({a}|{b})")
 
 
@@ -118,7 +120,7 @@ _T = TypeVar("_T")
 
 def _fold(text: str, tokens: list[str], leaves: Mapping[str, _T], neg: Callable[[_T], _T],
           conj: Callable[[_T, _T], _T], disj: Callable[[_T, _T], _T]) -> _T:
-    """Fold the grammar over `tokens` (from `_TOKEN.findall(text)`) in one loop.
+    """Fold the grammar over `tokens` (`_tokens(text)`) in one loop.
 
     `leaves` maps the text of every valid leaf that occurs in `tokens` to its
     value, and `neg`, `conj` and `disj` combine values as "!", "&" and "|"
@@ -171,8 +173,19 @@ def _fold(text: str, tokens: list[str], leaves: Mapping[str, _T], neg: Callable[
     return and_node if or_node is None else disj(or_node, and_node)
 
 
-#: A variable with its ASCII digits, or any other single character.
-_TOKEN = re.compile(r"x[0-9]*|[\s\S]")
+#: A variable token: "x" and its ASCII digits, kept as an odd piece by re.split.
+_VARIABLE = re.compile(r"(x[0-9]+)")
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of `text`: each variable with its digits, and every other
+    character on its own (a bare "x" too), so "".join(tokens) == text."""
+    pieces = iter(_VARIABLE.split(text))
+    tokens = list(next(pieces))
+    for variable in pieces:
+        tokens.append(variable)
+        tokens += next(pieces)
+    return tokens
 
 
 def _offset(tokens: list[str], k: int) -> int:

@@ -25,14 +25,12 @@ children (`wire_node`). `tree_queries` walks either tree.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, TypeVar, Union
 
-from .formula import Formula, ParseError, canonical, serialize
+# _VARIABLE is the variable-token pattern parse's tokenizer splits at.
+from .formula import Formula, ParseError, _VARIABLE, canonical, serialize
 from .oracle import Oracle, Query, sat_join_cosat
-
-_VARIABLE = re.compile(r"(x[0-9]+)")  # a variable token, kept by re.split
 
 #: Largest variable count for full tree expansion and query universes.
 TREE_BOUND = 10
@@ -114,14 +112,15 @@ MUTANT_PROGRAMS: Mapping[str, MachineProgram] = {
 }
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     query: Query
     answer: bool
 
 
-@dataclass(frozen=True)
-class Iteration:
+class Iteration(NamedTuple):
+    """One iteration of a run. A tuple, so its field `index` hides the
+    tuple method of that name."""
+
     index: int
     records: tuple[QueryRecord, QueryRecord]
     case: IterationCase

@@ -46,7 +46,7 @@ class Query(NamedTuple("Query", [("body", str), ("tag", str)])):
     def __new__(cls, body: str, tag: str) -> "Query":
         if tag not in TAGS:
             raise ValueError(f"tag must be '0' or '1', got {tag!r}")
-        return super().__new__(cls, body, tag)
+        return tuple.__new__(cls, (body, tag))
 
     def wire(self) -> str:
         return self.body + self.tag

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from operator import and_, or_
 
 from .formula import (
     FALSE,
@@ -26,8 +27,8 @@ from .formula import (
     Or,
     Var,
     _LEAVES,
-    _TOKEN,
     _fold,
+    _tokens,
     num_vars,
     parse,
 )
@@ -92,17 +93,26 @@ def text_satisfiable(text: str) -> bool:
     With m <= BRUTEFORCE_BOUND distinct variables the text is folded once
     into its 2^m-bit truth table over those variables (an order-free
     renaming, so satisfiability is unchanged), with no AST and no
-    recursion. Above the bound it is parsed and decided by sat_dpll.
+    recursion. The fold reads parse's tokens, takes the m cached columns as
+    its leaves and combines them with operator's C-level `and_` and `or_`.
+    Above the bound the text is parsed and decided by sat_dpll.
     """
-    tokens = _TOKEN.findall(text)
+    tokens = _tokens(text)
     names = _VARIABLE_NAMES.intersection(tokens)
     m = len(names)
     if m > BRUTEFORCE_BOUND:
         return sat_dpll(parse(text))
-    full = (1 << (1 << m)) - 1
-    leaves = {"0": 0, "1": full}
-    leaves.update((name, _var_column(j, m)) for j, name in enumerate(names))
-    return _fold(text, tokens, leaves, full.__xor__, int.__and__, int.__or__) != 0
+    full, columns = _columns(m)
+    leaves = dict(zip(names, columns))
+    leaves["0"] = 0
+    leaves["1"] = full
+    return _fold(text, tokens, leaves, full.__xor__, and_, or_) != 0
+
+
+@lru_cache(maxsize=None)
+def _columns(m: int) -> tuple[int, tuple[int, ...]]:
+    # The all-ones mask over 2^m assignments and the m variable columns.
+    return (1 << (1 << m)) - 1, tuple(_var_column(j, m) for j in range(m))
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ tests never trust the code paths they are checking.
 
 from __future__ import annotations
 
+import re
 from itertools import product
 from typing import Callable, Collection, Union
 
@@ -36,6 +37,15 @@ any_text = st.one_of(
         st.text(alphabet="x019()!&|", max_size=20),
     ),
 )
+
+
+_REFERENCE_TOKEN = re.compile(r"x[0-9]*|[\s\S]")
+
+
+def reference_tokens(text: str) -> list[str]:
+    """Independent tokenizer, one regex match per token: "x" with its ASCII
+    digits (a bare "x" included), or any other single character."""
+    return _REFERENCE_TOKEN.findall(text)
 
 
 #: Every rule table: the 64 programs over MachineProgram's six Boolean fields.

@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import any_text
+from conftest import any_text, reference_tokens
 from oddmax import formula as formula_module
 from oddmax.formula import (
     MAX_VAR_INDEX,
@@ -17,6 +17,7 @@ from oddmax.formula import (
     Or,
     ParseError,
     Var,
+    _tokens,
     canonical,
     evaluate,
     num_vars,
@@ -208,6 +209,28 @@ class TestParserReference:
         operands = ["x1", "x2"] * 1500
         expected = "(" * 2999 + "x1" + "".join(f"|{x})" for x in operands[1:])
         assert canonical("|".join(operands)) == expected
+
+
+class TestTokens:
+    """The one tokenizer of parse, canonical and text_satisfiable splits the
+    text once at its variable tokens; the reference matches token by token."""
+
+    @given(any_text)
+    @example("x")
+    @example("x0")
+    @example("x012")
+    @example("x101")
+    @example("x\u0661")
+    @example("x\u00b2")
+    @example("(x1&x)")
+    @example("xx1x")
+    @example("x1\nx2")
+    @example("\tx1\t")
+    @example("(x10|!x2)&x100")
+    def test_equals_the_reference_tokenizer(self, text):
+        tokens = _tokens(text)
+        assert tokens == reference_tokens(text)
+        assert "".join(tokens) == text
 
 
 class TestSharedLeaves:

@@ -122,6 +122,32 @@ class TestRunMachine:
         }
 
 
+class TestRecords:
+    """Iteration and QueryRecord are tuples; they read and refuse writes as
+    the frozen records they replaced did."""
+
+    def test_fields_read_by_name(self):
+        first, last = run_machine("(x1&x2)", sat_join_cosat).iterations
+        assert first.index == 1 and last.index == 2  # the field, not tuple.index
+        r0, r1 = first.records
+        assert r0.query == Query("(1&x2)", "0") and r0.answer is True
+        assert r1.query == Query("(1&x2)", "1") and r1.answer is False
+        assert first.case is IterationCase.FIX_TRUE
+        assert first == Iteration(index=1, records=(r0, r1), case=IterationCase.FIX_TRUE)
+        assert r0 == QueryRecord(query=Query("(1&x2)", "0"), answer=True)
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [((), "index"), ((), "records"), ((), "case"), ((0,), "query"), ((0,), "answer")],
+    )
+    def test_refuse_attribute_assignment(self, path, field):
+        record = run_machine("(x1&x2)", sat_join_cosat).iterations[0]
+        for k in path:
+            record = record.records[k]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def reference_run_machine(text, oracle, program):
     """The loop as it ran before continuations reused the pinned formula:
     every continuation substitutes again."""
@@ -238,6 +264,16 @@ class TestTextPinning:
         assert sum(text != serialize(parse(text)) for text in printed) > 700
         for oracle in (sat_join_cosat, hashed_oracle):
             for text in NONCANONICAL_TEXTS + printed:
+                expected = reference_run_machine(text, oracle, program).to_json()
+                assert run_machine(text, oracle, program).to_json() == expected, text
+
+    @pytest.mark.parametrize(
+        "program", FAMILY, ids=[f"family-{i:06b}" for i in range(len(FAMILY))]
+    )
+    def test_every_rule_table_equals_the_substituting_loop(self, program, corpus):
+        texts = NONCANONICAL_TEXTS + [serialize(formula) for formula in corpus]
+        for oracle in (sat_join_cosat, hashed_oracle):
+            for text in texts:
                 expected = reference_run_machine(text, oracle, program).to_json()
                 assert run_machine(text, oracle, program).to_json() == expected, text
 

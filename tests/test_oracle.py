@@ -50,6 +50,11 @@ class TestQuery:
         with pytest.raises(ValueError):
             Query("x1", "2")
 
+    def test_equals_the_plain_tuple(self):
+        query = Query("x1", "0")
+        assert query == ("x1", "0") and hash(query) == hash(("x1", "0"))
+        assert (query.body, query.tag) == ("x1", "0")
+
 
 class TestJoinMembership:
     def test_tag_zero_asks_left(self):
