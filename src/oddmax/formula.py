@@ -235,7 +235,9 @@ def num_vars(formula: Formula) -> int:
         return 0
     if kind is Not:
         return num_vars(formula.child)
-    return max(num_vars(formula.left), num_vars(formula.right))
+    left = num_vars(formula.left)
+    right = num_vars(formula.right)
+    return left if left > right else right
 
 
 def substitute(formula: Formula, index: int, value: bool) -> Formula:

@@ -8,6 +8,12 @@ The join oracle asks :func:`text_satisfiable`, which decides formula text
 without building an AST: up to BRUTEFORCE_BOUND distinct variables it folds
 truth-table columns in the parse loop itself, and above that it parses and
 runs sat_dpll.
+
+The sweep and the fold take their variable columns from one cache, one
+column set per width (``_columns``). The sweep walks the left operand of
+"&" and "|" first and skips the right one when the left absorbs it (0 for
+"&", all-ones for "|"); inside a block the columns of the high variables
+are exactly those two values.
 """
 
 from __future__ import annotations
@@ -52,13 +58,17 @@ def sat_bruteforce(formula: Formula) -> bool:
 
 def _blocks(formula: Formula, n: int) -> Iterator[tuple[int, int]]:
     # Yield (offset, table), highest first; bit a of table is the value at
-    # offset + a. Columns of x_1.. above the last `width` are 0 or all-ones.
+    # offset + a. The last `width` variables take the cached columns of
+    # _columns(width); x_1.. above them are 0 or all-ones in each block.
     width = min(n, BLOCK_VARS)
-    full = (1 << (1 << width)) - 1
-    low = [_var_column(shift, width) for shift in range(width - 1, -1, -1)]
+    full, columns = _columns(width)
+    if n == width:
+        yield 0, _table(formula, columns, full)
+        return
+    low = columns[1:]
     for block in range((1 << (n - width)) - 1, -1, -1):
         high = [full if block >> shift & 1 else 0 for shift in range(n - width - 1, -1, -1)]
-        yield block << width, _table(formula, [0, *high, *low], full)
+        yield block << width, _table(formula, (0, *high, *low), full)
 
 
 def _top_model(formula: Formula, n: int) -> int | None:
@@ -69,8 +79,10 @@ def _top_model(formula: Formula, n: int) -> int | None:
     return None
 
 
-def _table(formula: Formula, columns: list[int], full: int) -> int:
+def _table(formula: Formula, columns: tuple[int, ...], full: int) -> int:
     # columns[i] is the column of x_i; `full` is the all-ones mask over them.
+    # The left operand goes first: a 0 absorbs "&" and `full` absorbs "|",
+    # so the right operand is then never walked.
     kind = type(formula)
     if kind is Var:
         return columns[formula.index]
@@ -78,9 +90,10 @@ def _table(formula: Formula, columns: list[int], full: int) -> int:
         return full if formula.value else 0
     if kind is Not:
         return full ^ _table(formula.child, columns, full)
+    left = _table(formula.left, columns, full)
     if kind is And:
-        return _table(formula.left, columns, full) & _table(formula.right, columns, full)
-    return _table(formula.left, columns, full) | _table(formula.right, columns, full)
+        return left & _table(formula.right, columns, full) if left else 0
+    return left | _table(formula.right, columns, full) if left != full else full
 
 
 #: The text of every variable leaf parse accepts.
@@ -103,7 +116,7 @@ def text_satisfiable(text: str) -> bool:
     if m > BRUTEFORCE_BOUND:
         return sat_dpll(parse(text))
     full, columns = _columns(m)
-    leaves = dict(zip(names, columns))
+    leaves = dict(zip(names, columns[1:]))
     leaves["0"] = 0
     leaves["1"] = full
     return _fold(text, tokens, leaves, full.__xor__, and_, or_) != 0
@@ -111,11 +124,12 @@ def text_satisfiable(text: str) -> bool:
 
 @lru_cache(maxsize=None)
 def _columns(m: int) -> tuple[int, tuple[int, ...]]:
-    # The all-ones mask over 2^m assignments and the m variable columns.
-    return (1 << (1 << m)) - 1, tuple(_var_column(j, m) for j in range(m))
+    # The all-ones mask over 2^m assignments and the column of x_i at index
+    # i (slot 0 unused): the package's one column cache, which the block
+    # sweep and the join's fold share.
+    return (1 << (1 << m)) - 1, (0, *(_var_column(m - i, m) for i in range(1, m + 1)))
 
 
-@lru_cache(maxsize=None)
 def _var_column(shift: int, n: int) -> int:
     # Bit a of the column for x_i is (a >> shift) & 1 with shift = n - i,
     # i.e. blocks of 2^shift zeros then 2^shift ones, repeated. Built by
@@ -167,7 +181,9 @@ def _min_var(formula: Formula) -> int:
         return 0
     if kind is Not:
         return _min_var(formula.child)
-    return min(_min_var(formula.left), _min_var(formula.right))
+    left = _min_var(formula.left)
+    right = _min_var(formula.right)
+    return left if left < right else right
 
 
 def sat_dpll(formula: Formula) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import oddmax.sat
 from conftest import (
@@ -34,6 +34,7 @@ from oddmax.sat import (
     BRUTEFORCE_BOUND,
     _assign,
     _blocks,
+    _columns,
     _var_column,
     lexmax,
     lexmax_greedy,
@@ -99,6 +100,40 @@ def dpll_samples():
     """2000 seeded formulas on 1..12 variables (some hold constants)."""
     for seed in range(2000):
         yield random_formula(seed, n=1 + seed % 12, size=25)
+
+
+def reference_num_vars(formula):
+    """num_vars as a max-walk: the largest index, 0 for a constant leaf."""
+    if isinstance(formula, Var):
+        return formula.index
+    if isinstance(formula, Const):
+        return 0
+    if isinstance(formula, Not):
+        return reference_num_vars(formula.child)
+    return max(reference_num_vars(formula.left), reference_num_vars(formula.right))
+
+
+def reference_min_var(formula):
+    """sat._min_var as a min-walk: the lowest index, a constant leaf counting 0."""
+    if isinstance(formula, Var):
+        return formula.index
+    if isinstance(formula, Const):
+        return 0
+    if isinstance(formula, Not):
+        return reference_min_var(formula.child)
+    return min(reference_min_var(formula.left), reference_min_var(formula.right))
+
+
+class TestWalkers:
+    """The conditional-expression walkers against their max/min references."""
+
+    def test_num_vars_and_min_var_equal_the_reference_walks(self):
+        formulas = list(dpll_samples()) + [parse(text) for text in WITH_CONSTANTS]
+        for formula in formulas:
+            assert num_vars(formula) == reference_num_vars(formula), serialize(formula)
+            assert oddmax.sat._min_var(formula) == reference_min_var(formula), serialize(formula)
+        # Both walkers meet constant leaves and lowest indices above 1.
+        assert {reference_min_var(f) for f in formulas} >= {0, 1, 2, 3}
 
 
 class TestBruteforce:
@@ -255,6 +290,92 @@ class TestBlocks:
         offsets.clear()
         assert lexmax(formula) is None
         assert offsets == every_block
+
+
+class TestColumns:
+    """_columns(m): the one column cache, indexed by variable."""
+
+    @pytest.mark.parametrize("m", range(BRUTEFORCE_BOUND + 1))
+    def test_layout_and_one_cached_tuple_per_width(self, m):
+        full, columns = _columns(m)
+        assert full == (1 << (1 << m)) - 1
+        assert len(columns) == m + 1
+        assert columns[0] == 0
+        for i in range(1, m + 1):
+            assert columns[i] == _var_column(m - i, m)
+        if m <= 10:
+            # Bit a of x_i's column is bit m - i of a (x_1 most significant).
+            for i in range(1, m + 1):
+                assert columns[i] == sum(1 << a for a in range(1 << m) if a >> (m - i) & 1)
+        assert _columns(m)[1] is columns
+
+
+def absorbing_formulas(n):
+    """Formulas spanning n variables whose "&" and "|" have absorbing left
+    operands: the high variables and their negations (0 or all-ones in each
+    block) and the WITH_CONSTANTS texts, over random, negated and UNSAT
+    bodies. The last two per body meet both cases in every block."""
+    lefts = [parse(text) for text in WITH_CONSTANTS]
+    for i in range(1, n - BLOCK_VARS + 1):
+        lefts += [Var(i), Not(Var(i))]
+    formulas = []
+    for seed in range(2):
+        base = random_formula(seed, n=n, size=25)
+        for body in (base, Not(base), And(base, Not(base))):
+            body = spanning(body, n)
+            for left in lefts:
+                formulas += [And(left, body), Or(left, body)]
+            formulas += [
+                Or(And(Var(1), body), And(Not(Var(1)), Not(body))),
+                And(Or(Var(1), body), Or(Not(Var(1)), Not(body))),
+            ]
+    return formulas
+
+
+class TestAbsorbingOperands:
+    """The sweep's short-circuited "&" and "|" against the single table."""
+
+    @pytest.mark.parametrize("n", range(BLOCK_VARS + 1, BRUTEFORCE_BOUND + 1))
+    def test_absorbing_left_operands_equal_the_single_table(self, n):
+        outcomes = set()
+        for formula in absorbing_formulas(n):
+            assert num_vars(formula) == n
+            table = reference_truth_table(formula, n)
+            witness = reference_witness(formula, n)
+            assert concatenated_blocks(formula, n) == table, serialize(formula)
+            assert sat_bruteforce(formula) is (table != 0), serialize(formula)
+            assert lexmax(formula) == witness, serialize(formula)
+            outcomes.add(witness is None)
+        assert outcomes == {False, True}
+
+    def test_an_absorbed_right_operand_is_not_walked(self, monkeypatch):
+        walked = []
+        original = oddmax.sat._table
+
+        def counting(formula, columns, full):
+            walked.append(formula)
+            return original(formula, columns, full)
+
+        # _table recurses through the module global, so every node visit counts.
+        monkeypatch.setattr(oddmax.sat, "_table", counting)
+        # Two blocks at n = 17: x1 all-ones in the first, 0 in the second.
+        cases = [(And(Var(1), Or(Var(2), Var(17))), [5, 2]),
+                 (Or(Var(1), And(Var(2), Var(17))), [2, 5])]
+        for formula, per_block in cases:
+            counts = []
+            for _ in _blocks(formula, 17):
+                counts.append(len(walked))
+                walked.clear()
+            assert counts == per_block, serialize(formula)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, BRUTEFORCE_BOUND))
+    def test_random_formulas_equal_the_single_table(self, seed, n):
+        formula = spanning(random_formula(seed, n=n, size=25), n)
+        table = reference_truth_table(formula, n)
+        assert concatenated_blocks(formula, n) == table
+        assert sat_bruteforce(formula) is (table != 0)
+        assert lexmax(formula) == reference_witness(formula, n)
 
 
 class TestTruthTable:
