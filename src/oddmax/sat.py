@@ -1,13 +1,13 @@
 """Desk-scale SAT decision and lexicographically maximum satisfying assignments.
 
-Two independent satisfiability routes are kept side by side on purpose:
-:func:`sat_bruteforce` sweeps the truth table in blocks, :func:`sat_dpll`
-searches by splitting. One checks the other throughout the test suite.
+One lex-max search, ``_top_model``, serves every n: it pins x_1..x_(n-20)
+depth-first and sweeps the last BRUTEFORCE_BOUND variables' truth table in
+blocks. :func:`sat_dpll` has no caller here; the tests check the search by it.
 
 The join oracle asks :func:`text_satisfiable`, which decides formula text
 without building an AST: up to BRUTEFORCE_BOUND distinct variables it folds
 truth-table columns in the parse loop itself, and above that it parses and
-runs sat_dpll.
+runs the lex-max search.
 
 The sweep and the fold take their variable columns from one cache, one
 column set per width (``_columns``). The sweep walks the left operand of
@@ -40,7 +40,7 @@ from .formula import (
 )
 
 #: Largest variable count swept as a truth table (2^n assignments): the
-#: limit of sat_bruteforce and the point where lexmax turns greedy.
+#: limit of sat_bruteforce and of each sweep in the lex-max search.
 BRUTEFORCE_BOUND = 20
 #: Variables per block of that sweep: 2^16-bit (8 KiB) tables, highest first.
 BLOCK_VARS = 16
@@ -56,26 +56,50 @@ def sat_bruteforce(formula: Formula) -> bool:
     return _top_model(formula, n) is not None
 
 
-def _blocks(formula: Formula, n: int) -> Iterator[tuple[int, int]]:
+def _blocks(formula: Formula, n: int, pinned: int = 0) -> Iterator[tuple[int, int]]:
     # Yield (offset, table), highest first; bit a of table is the value at
-    # offset + a. The last `width` variables take the cached columns of
-    # _columns(width); x_1.. above them are 0 or all-ones in each block.
-    width = min(n, BLOCK_VARS)
+    # offset + a. The last `width` variables take _columns(width); those above
+    # them are 0 or all-ones per block, and x_1..x_pinned, assigned away, read 0.
+    width = min(n - pinned, BLOCK_VARS)
     full, columns = _columns(width)
     if n == width:
         yield 0, _table(formula, columns, full)
         return
+    fixed = (0,) * (pinned + 1)
     low = columns[1:]
-    for block in range((1 << (n - width)) - 1, -1, -1):
-        high = [full if block >> shift & 1 else 0 for shift in range(n - width - 1, -1, -1)]
-        yield block << width, _table(formula, (0, *high, *low), full)
+    for block in range((1 << (n - pinned - width)) - 1, -1, -1):
+        high = [full if block >> shift & 1 else 0 for shift in range(n - pinned - width - 1, -1, -1)]
+        yield block << width, _table(formula, (*fixed, *high, *low), full)
 
 
 def _top_model(formula: Formula, n: int) -> int | None:
-    # Index of the lexicographically greatest model, or None if UNSAT.
-    for offset, table in _blocks(formula, n):
-        if table:
-            return offset + table.bit_length() - 1
+    # Index of the lexicographically greatest model, or None if UNSAT. Past
+    # the bound, constants are folded and x_1..x_(n-20) pinned depth-first,
+    # true first: FALSE prunes, TRUE ends with ones, an x_i that _assign leaves
+    # unchanged takes only true, and each leaf sweeps the rest; first model wins.
+    if n <= BRUTEFORCE_BOUND:
+        for offset, table in _blocks(formula, n):
+            if table:
+                return offset + table.bit_length() - 1
+        return None
+    pinned = n - BRUTEFORCE_BOUND
+    stack = [(_assign(formula, 0, TRUE), 0, 0)]
+    while stack:
+        formula, depth, prefix = stack.pop()
+        if type(formula) is Const:
+            if formula.value:
+                return (prefix + 1 << n - depth) - 1
+            continue
+        if depth == pinned:
+            for offset, table in _blocks(formula, n, pinned):
+                if table:
+                    return (prefix << BRUTEFORCE_BOUND) + offset + table.bit_length() - 1
+            continue
+        depth += 1
+        true = _assign(formula, depth, TRUE)
+        if true is not formula:
+            stack.append((_assign(formula, depth, FALSE), depth, prefix << 1))
+        stack.append((true, depth, prefix << 1 | 1))
     return None
 
 
@@ -108,13 +132,14 @@ def text_satisfiable(text: str) -> bool:
     renaming, so satisfiability is unchanged), with no AST and no
     recursion. The fold reads parse's tokens, takes the m cached columns as
     its leaves and combines them with operator's C-level `and_` and `or_`.
-    Above the bound the text is parsed and decided by sat_dpll.
+    Above the bound the text is parsed and decided by the lex-max search.
     """
     tokens = _tokens(text)
     names = _VARIABLE_NAMES.intersection(tokens)
     m = len(names)
     if m > BRUTEFORCE_BOUND:
-        return sat_dpll(parse(text))
+        formula = parse(text)
+        return _top_model(formula, num_vars(formula)) is not None
     full, columns = _columns(m)
     leaves = dict(zip(names, columns[1:]))
     leaves["0"] = 0
@@ -206,34 +231,12 @@ def sat_dpll(formula: Formula) -> bool:
 def lexmax(formula: Formula) -> Assignment | None:
     """Lexicographically greatest satisfying assignment, or None if UNSAT.
 
-    x_1 is the most significant coordinate. Up to BRUTEFORCE_BOUND
-    variables the witness is the highest set bit of the first nonzero block
-    of the truth table, whose index a reads as the numeral x_1..x_n (x_1 is
-    bit n-1, x_n is bit 0). Larger formulas are settled greedily by pinning
-    each variable to true when a satisfying extension remains.
+    x_1 is the most significant coordinate: the witness is the lex-max
+    search's model index read as the numeral x_1..x_n (x_1 is bit n-1).
     """
     n = num_vars(formula)
-    if n > BRUTEFORCE_BOUND:
-        return lexmax_greedy(formula)
     top = _top_model(formula, n)
     return None if top is None else tuple(bool((top >> (n - 1 - k)) & 1) for k in range(n))
-
-
-def lexmax_greedy(formula: Formula) -> Assignment | None:
-    if not sat_dpll(formula):
-        return None
-    n = num_vars(formula)
-    bits: list[bool] = []
-    current = formula
-    for i in range(1, n + 1):
-        pinned_true = _assign(current, i, TRUE)
-        if sat_dpll(pinned_true):
-            current = pinned_true
-            bits.append(True)
-        else:
-            current = _assign(current, i, FALSE)
-            bits.append(False)
-    return tuple(bits)
 
 
 def odd_max_sat_ref(formula: Formula) -> bool:
@@ -247,8 +250,5 @@ def odd_max_sat_ref(formula: Formula) -> bool:
     n = num_vars(formula)
     if n < 1:
         raise ValueError("constant formula: no final variable to test")
-    if n > BRUTEFORCE_BOUND:
-        witness = lexmax_greedy(formula)
-        return witness is not None and witness[-1]
     top = _top_model(formula, n)
     return top is not None and top & 1 == 1

@@ -6,6 +6,7 @@ tests never trust the code paths they are checking.
 
 from __future__ import annotations
 
+import random
 import re
 from itertools import product
 from typing import Callable, Collection, Union
@@ -14,10 +15,24 @@ import pytest
 from hypothesis import strategies as st
 
 from oddmax.corpus import curated_corpus
-from oddmax.formula import Formula, evaluate, num_vars, parse, serialize, substitute
+from oddmax.formula import (
+    FALSE,
+    TRUE,
+    And,
+    Assignment,
+    Formula,
+    Not,
+    Or,
+    Var,
+    evaluate,
+    num_vars,
+    parse,
+    serialize,
+    substitute,
+)
 from oddmax.machine import IterationCase, MachineProgram, STANDARD_PROGRAM
 from oddmax.oracle import Query
-from oddmax.sat import sat_bruteforce
+from oddmax.sat import _assign, sat_bruteforce, sat_dpll
 
 #: Longest text `any_text` draws. Text this short nests at most this deep,
 #: well inside the interpreter's recursion limit; the parser takes any depth,
@@ -83,6 +98,40 @@ def satisfying_assignments(formula: Formula) -> list[tuple[bool, ...]]:
 def reference_lexmax(formula: Formula) -> tuple[bool, ...] | None:
     found = satisfying_assignments(formula)
     return found[0] if found else None
+
+
+# Reference lex-max above the truth-table bound, independent of the package's
+# search: n + 1 sat_dpll calls, pinning each variable true when a satisfying
+# extension remains, else false.
+def lexmax_greedy(formula: Formula) -> Assignment | None:
+    if not sat_dpll(formula):
+        return None
+    n = num_vars(formula)
+    bits: list[bool] = []
+    current = formula
+    for i in range(1, n + 1):
+        pinned_true = _assign(current, i, TRUE)
+        if sat_dpll(pinned_true):
+            current = pinned_true
+            bits.append(True)
+        else:
+            current = _assign(current, i, FALSE)
+            bits.append(False)
+    return tuple(bits)
+
+
+def threshold_cnf(seed: int, n: int) -> Formula:
+    """Seeded random 3-CNF at the satisfiability threshold: int(4.26*n)
+    clauses of three distinct variables with random signs, conjoined with
+    (xn|!xn) so it spans exactly n variables. About half are satisfiable,
+    and the lex-max witness of a satisfiable one is rarely all-true."""
+    rng = random.Random(seed)
+    formula: Formula = Or(Var(n), Not(Var(n)))
+    for _ in range(int(4.26 * n)):
+        picks = rng.sample(range(1, n + 1), 3)
+        a, b, c = (Var(i) if rng.randrange(2) else Not(Var(i)) for i in picks)
+        formula = And(Or(Or(a, b), c), formula)
+    return formula
 
 
 def reachable_query_wires(

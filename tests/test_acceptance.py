@@ -11,7 +11,13 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import reachable_query_wires, reference_join
+from conftest import (
+    lexmax_greedy,
+    reachable_query_wires,
+    reference_join,
+    reference_tokens,
+    threshold_cnf,
+)
 from oddmax.corpus import curated_corpus, random_corpus
 from oddmax.formula import And, Not, Or, Var, num_vars, parse, random_formula, serialize
 from oddmax.machine import (
@@ -22,7 +28,7 @@ from oddmax.machine import (
 )
 from oddmax.oracle import FiniteOracle, sat_join_cosat, sorted_universe
 from oddmax.positivity import check_positivity_exhaustive, check_positivity_sampled
-from oddmax.sat import lexmax, lexmax_greedy, odd_max_sat_ref, sat_bruteforce, sat_dpll
+from oddmax.sat import lexmax, odd_max_sat_ref, sat_bruteforce, sat_dpll, text_satisfiable
 
 CORPUS = curated_corpus()
 
@@ -318,6 +324,67 @@ def test_block_sweep_agreement():
     assert all(num_vars(f) == 17 + index // 2 % 4 for index, f in enumerate(batch))
     assert disagreements == []
     assert elapsed < 5
+
+
+def test_hard_inputs_above_the_bound():
+    """Threshold 3-CNF above the truth-table bound, 4 formulas per n: lexmax
+    and odd_max_sat_ref equal the greedy reference for n = 21..23, and the
+    machine equals the reference (Theorem 1) for n = 21..26; zero
+    mismatches; under 40 s."""
+    start = time.perf_counter()
+    mismatches = []
+    witnesses = []
+    verdicts = []
+    for n in range(21, 27):
+        for seed in range(4):
+            formula = threshold_cnf(seed, n)
+            if n <= 23:
+                witness = lexmax(formula)
+                witnesses.append(witness)
+                odd = witness is not None and witness[-1]
+                if witness != lexmax_greedy(formula) or odd_max_sat_ref(formula) is not odd:
+                    mismatches.append(serialize(formula))
+            verdicts.append(reference_verdict(formula))
+            if machine_verdict(formula) != verdicts[-1]:
+                mismatches.append(serialize(formula))
+    elapsed = time.perf_counter() - start
+    ok = not mismatches and elapsed < 40
+    report(
+        "hard-inputs-above-the-bound",
+        ok,
+        f"(witnesses={len(witnesses)} unsat={witnesses.count(None)} "
+        f"runs={len(verdicts)} accepted={sum(verdicts)} mismatches={len(mismatches)} "
+        f"time={elapsed:.1f}s)",
+    )
+    # Hard inputs: UNSAT formulas, no all-true witness, both verdicts.
+    assert None in witnesses and not any(w and all(w) for w in witnesses)
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert mismatches == []
+    assert elapsed < 40
+
+
+def test_join_fallback_above_the_bound():
+    """The join's text_satisfiable equals sat_dpll(parse(text)) on threshold
+    3-CNF bodies, 4 per n = 21..26, each with more than 20 distinct
+    variables; zero disagreements; under 40 s."""
+    start = time.perf_counter()
+    texts = [serialize(threshold_cnf(seed, n)) for n in range(21, 27) for seed in range(4)]
+    answers = [text_satisfiable(text) for text in texts]
+    disagreements = [
+        text for text, answer in zip(texts, answers) if answer is not sat_dpll(parse(text))
+    ]
+    elapsed = time.perf_counter() - start
+    ok = not disagreements and elapsed < 40
+    report(
+        "join-fallback-above-the-bound",
+        ok,
+        f"(checked={len(texts)} sat={sum(answers)} disagreements={len(disagreements)} "
+        f"time={elapsed:.1f}s)",
+    )
+    assert all(len({x for x in reference_tokens(t) if x[0] == "x"}) > 20 for t in texts)
+    assert 0 < sum(answers) < len(texts)
+    assert disagreements == []
+    assert elapsed < 40
 
 
 def test_universe_cardinality():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ import oddmax.sat
 from conftest import (
     all_assignments_descending,
     any_text,
+    lexmax_greedy,
     reachable_query_wires,
     reference_lexmax,
     satisfying_assignments,
@@ -37,7 +39,6 @@ from oddmax.sat import (
     _columns,
     _var_column,
     lexmax,
-    lexmax_greedy,
     odd_max_sat_ref,
     sat_bruteforce,
     sat_dpll,
@@ -541,7 +542,7 @@ class TestLexmax:
 
     @pytest.mark.parametrize("n", [BRUTEFORCE_BOUND, BRUTEFORCE_BOUND + 1])
     def test_regime_boundary(self, n):
-        # n = BRUTEFORCE_BOUND reads the truth table; one more goes greedy.
+        # n = BRUTEFORCE_BOUND is one sweep; one more pins x_1 first.
         assert lexmax(parse(f"(x1&!x{n})")) == (True,) * (n - 1) + (False,)
         assert lexmax(parse(f"((x1&!x1)&x{n})")) is None
 
@@ -588,3 +589,59 @@ class TestOddMaxSatRef:
                 continue
             witness = reference_lexmax(formula)
             assert odd_max_sat_ref(formula) == (witness is not None and witness[-1])
+
+
+def assert_search(formula):
+    """lexmax equals the greedy reference, its witness satisfies the formula
+    and odd_max_sat_ref reads the witness's last bit; returns the witness."""
+    witness = lexmax(formula)
+    assert witness == lexmax_greedy(formula), serialize(formula)
+    assert witness is None or evaluate(formula, witness) is True
+    assert odd_max_sat_ref(formula) is (witness is not None and witness[-1])
+    return witness
+
+
+class TestSearchAboveTheBound:
+    """The lex-max search's pinning of x_1..x_(n-20), rule by rule."""
+
+    @pytest.mark.parametrize("text, n", [("(x1&x30)", 30), ("x25", 25)])
+    def test_gapped_formulas_are_all_true(self, text, n):
+        assert assert_search(parse(text)) == (True,) * n
+
+    def test_false_pins_in_the_prefix(self):
+        assert assert_search(parse("(!x1&x25)")) == (False,) + (True,) * 24
+        assert assert_search(parse("(x1&(!x2&x40))")) == (True, False) + (True,) * 38
+
+    def test_branches_that_fold_to_constants(self):
+        # x1, x2 = 1, 1 folds to FALSE and x1, x2, x3 = 1, 0, 1 to TRUE.
+        formula = parse("((!x1|!x2)&(x3|x30))")
+        assert assert_search(formula) == (True, False) + (True,) * 28
+        # Every branch under x1 = 1 folds to FALSE at x3; x1 = 0 leaves x30.
+        formula = parse("((x1&(x2&(x3&!x3)))|(!x1&x30))")
+        assert assert_search(formula) == (False,) + (True,) * 29
+
+    @pytest.mark.parametrize("text", ["((x1&x100)&!x100)", "((1&x100)&!x100)"])
+    def test_absent_variables_take_only_the_true_branch(self, text, monkeypatch):
+        # x1 = 1, or the folded constant, leaves (x100&!x100), free of
+        # x2..x80: one sweep per search. Branching on an absent variable
+        # would repeat it, up to 2^79 times.
+        sweeps = []
+        original = oddmax.sat._blocks
+
+        def counting(*args):
+            sweeps.append(args[1:])
+            assert len(sweeps) <= 2, "an absent variable was branched on"
+            return original(*args)
+
+        monkeypatch.setattr(oddmax.sat, "_blocks", counting)
+        start = time.perf_counter()
+        assert assert_search(parse(text)) is None
+        assert time.perf_counter() - start < 1
+        assert sweeps == [(100, 80)] * 2
+
+    @pytest.mark.parametrize("n", [21, 30, 50, 100])
+    def test_random_bodies_and_their_negations(self, n):
+        for seed in range(30):
+            base = random_formula(seed, n=n, size=3 * n)
+            for body in (base, Not(base)):
+                assert_search(spanning(body, n))
