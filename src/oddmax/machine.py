@@ -17,16 +17,17 @@ tokens of x_1..x_i: the string serialize(substitute(...)) gives for those pins.
 All runs are expanded in one place, `expand_runs`, which takes the node
 builder as an argument, and every tree has one node layout: the two queries,
 then the four children in IterationCase order. `build_query_tree` builds
-TreeNodes, which hold Query objects and then the iteration and its text; the
-sampled positivity check builds bare tuples of the two wire strings and the
-children (`wire_node`). `tree_queries` walks either tree.
+TreeNodes, which hold Query objects and then the iteration and its text, for
+the tree dumps and `query_universe`; the positivity checks build bare tuples
+of the two wire strings and the children (`wire_node`). `tree_queries` and
+`tree_verdict` walk any tree of that layout.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple, TypeVar, Union
+from typing import Any, Callable, Mapping, NamedTuple, TypeVar, Union
 
 # _VARIABLE is the variable-token pattern parse's tokenizer splits at.
 from .formula import Formula, ParseError, _VARIABLE, canonical, serialize
@@ -260,7 +261,8 @@ def expand_runs(
         raise ValueError(f"formula has {n} variables, exceeding the tree bound {TREE_BOUND}")
     if n == 0:
         return False
-    table = [program.step(case) for case in IterationCase]
+    # Leaves are bools whatever the program's verdicts are: tree_verdict's walk ends on one.
+    table = [(value, bool(verdict)) for value, verdict in map(program.step, IterationCase)]
 
     def expand(i: int, text: str, pieces: list[str]) -> _N:
         # `pieces` is `text` split by _split; this call may write into it.
@@ -303,15 +305,17 @@ def build_query_tree(
     return expand_runs(serialize(formula), program, _tree_node)
 
 
-def tree_verdict(tree: QueryTree, oracle: Oracle) -> bool:
-    """Verdict of the run the oracle selects through the tree."""
+def tree_verdict(tree: Union[tuple, bool], oracle: Callable[[Any], object]) -> bool:
+    """Verdict of the run the oracle selects through a tree of the one node
+    layout, whatever its slots 0 and 1 hold: `oracle` is asked about those
+    slots and its answers are read for their truth. The walk ends on a bool
+    leaf."""
     node = tree
-    while type(node) is TreeNode:
-        q0, q1, fix_true, fix_false, accept_both, reject_both, _, _ = node
-        if oracle(q0):
-            node = accept_both if oracle(q1) else fix_true
+    while type(node) is not bool:
+        if oracle(node[0]):
+            node = node[4] if oracle(node[1]) else node[2]
         else:
-            node = fix_false if oracle(q1) else reject_both
+            node = node[3] if oracle(node[1]) else node[5]
     return node
 
 

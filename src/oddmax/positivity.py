@@ -4,17 +4,16 @@ never turn an accepted input into a rejected one.
 The check quantifies over subsets of the reachable query universe rather
 than over all strings; a run's verdict only ever consults queries from that
 universe, so the restriction loses nothing (the test suite pins this down).
-Both checks name subsets by bit masks: bit i is element i of
-`sorted_universe`. Small universes are swept exhaustively over all 3^|U|
-nested mask pairs of `enumerate_subset_pairs`, against one table of 2^|U|
-verdicts that walks the query tree with `tree_verdict` once per mask; larger
-ones are sampled. The sampled check builds no query tree: it expands the runs
-once into the wire tree (`expand_runs` with `wire_node`), numbers the sorted
-wires, and compiles the wire tree into the same node layout over masks
-(`_mask_tree`), so a drawn oracle selects its run with two integer ANDs per
-level, reading the slots as `tree_verdict` does. It takes every pair from
-one `subset_mask_draws` stream. Queries, frozensets and finite oracles are
-built only to replay a violation.
+Both checks start from one compile (`_compile`): it expands the runs once
+into the wire tree (`expand_runs` with `wire_node`), sorts the wires, and
+compiles the wire tree into the same node layout over masks (`_mask_tree`),
+bit i standing for the i-th sorted wire. Small universes are swept
+exhaustively over all 3^|U| nested mask pairs of `enumerate_subset_pairs`,
+against one table of 2^|U| verdicts filled by walking the compiled tree with
+`tree_verdict` once per mask; larger ones are sampled, every pair from one
+`subset_mask_draws` stream, each mask selecting its run with two integer
+ANDs per level (`_mask_verdict`). Neither check builds the query tree.
+Queries, frozensets and finite oracles are built only to replay a violation.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ from .formula import Formula, serialize
 from .machine import (
     MachineProgram,
     STANDARD_PROGRAM,
-    TreeNode,
     WireTree,
-    build_query_tree,
     expand_runs,
     run_machine,
     tree_queries,
@@ -42,7 +39,6 @@ from .oracle import (
     Query,
     enumerate_subset_pairs,
     mask_subset,
-    sorted_universe,
     subset_mask_draws,
     subset_pair_rank,
 )
@@ -96,9 +92,11 @@ class PositivityReport:
 
 
 def _replayed_counterexample(
-    text: str, elements: tuple[Query, ...], small: int, large: int, program: MachineProgram
+    text: str, wires: list[str], small: int, large: int, program: MachineProgram
 ) -> Counterexample:
-    """Replay the mask pair (small, large) over `elements` as two finite oracles."""
+    """Replay the mask pair (small, large) over the sorted `wires` as two
+    finite oracles."""
+    elements = tuple(map(Query.from_wire, wires))
     universe = frozenset(elements)
     small_oracle = FiniteOracle(universe, mask_subset(elements, small))
     large_oracle = FiniteOracle(universe, mask_subset(elements, large))
@@ -122,9 +120,8 @@ def _mask_tree(tree: WireTree, bit: Mapping[str, int]) -> MaskTree:
 
 
 def _compile(formula: Formula, program: MachineProgram) -> tuple[str, list[str], MaskTree]:
-    """The report text, the universe's wires in `sorted_universe` order, and
-    the mask tree over them, from one expansion of the runs. Raises
-    ValueError past TREE_BOUND."""
+    """The report text, the universe's sorted wires, and the mask tree over
+    them, from one expansion of the runs. Raises ValueError past TREE_BOUND."""
     text = serialize(formula)
     tree = expand_runs(text, program, wire_node)
     wires = sorted(tree_queries(tree))
@@ -151,15 +148,11 @@ def check_positivity_exhaustive(
     ValueError when the formula has more than TREE_BOUND variables (no tree),
     and when the universe exceeds SUBSET_PAIR_BOUND (fall back to sampling).
     """
-    tree = build_query_tree(formula, program)
-    text = tree.text if isinstance(tree, TreeNode) else serialize(formula)
-    universe = tree_queries(tree)
-    elements = sorted_universe(universe)
-    k = len(elements)
+    text, wires, compiled = _compile(formula, program)
+    k = len(wires)
     pairs = enumerate_subset_pairs(k)  # checks the bound before 2^k walks
-    bit = {q: 1 << i for i, q in enumerate(elements)}
     # One tree walk per oracle: accepts[mask] is the verdict under `mask`.
-    accepts = [tree_verdict(tree, lambda q: bit[q] & mask) for mask in range(1 << k)]
+    accepts = [tree_verdict(compiled, mask.__and__) for mask in range(1 << k)]
     for small, large in pairs:
         if accepts[small] and not accepts[large]:
             return PositivityReport(
@@ -168,7 +161,7 @@ def check_positivity_exhaustive(
                 universe_size=k,
                 pairs_checked=subset_pair_rank(k, small, large) + 1,
                 seed=None,
-                violation=_replayed_counterexample(text, elements, small, large, program),
+                violation=_replayed_counterexample(text, wires, small, large, program),
             )
     return PositivityReport(text, "exhaustive", k, 3**k, None, None)
 
@@ -191,13 +184,12 @@ def check_positivity_sampled(
     for checked, (large, r) in enumerate(draws, 1):
         small = large & r
         if _mask_verdict(compiled, small) and not _mask_verdict(compiled, large):
-            elements = tuple(map(Query.from_wire, wires))
             return PositivityReport(
                 formula=text,
                 mode="sampled",
                 universe_size=len(wires),
                 pairs_checked=checked,
                 seed=seed,
-                violation=_replayed_counterexample(text, elements, small, large, program),
+                violation=_replayed_counterexample(text, wires, small, large, program),
             )
     return PositivityReport(text, "sampled", len(wires), samples, seed, None)

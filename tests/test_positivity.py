@@ -158,6 +158,20 @@ class TestExhaustive:
             assert outcome(report) == reference_exhaustive(formula, program), serialize(formula)
             checked += 1
         assert checked == 37
+        if program is not STANDARD_PROGRAM:
+            return
+        # The family holds every program above; one case sweeps it on the gapped texts.
+        checked = 0
+        for family_program in FAMILY:
+            for text in SMALL_TREE_TEXTS:
+                formula = parse(text)
+                if len(query_universe(formula, family_program)) > SUBSET_PAIR_BOUND:
+                    continue
+                report = check_positivity_exhaustive(formula, program=family_program)
+                expected = reference_exhaustive(formula, family_program)
+                assert outcome(report) == expected, (text, family_program)
+                checked += 1
+        assert checked == 288
 
 
 class TestExhaustiveCost:
@@ -265,6 +279,7 @@ class TestMaskTree:
             for mask in range(1 << len(elements)):
                 expected = tree_verdict(tree, mask_subset(elements, mask).__contains__)
                 assert _mask_verdict(compiled, mask) == expected, (serialize(formula), mask)
+                assert tree_verdict(compiled, mask.__and__) == expected, (serialize(formula), mask)
                 checked += 1
         assert checked > 4000
 
@@ -301,19 +316,19 @@ class TestMaskTree:
         assert check_positivity_exhaustive(parse("x1")).ok
         assert len(calls) == 4
 
-    def test_sampled_check_builds_no_query_tree(self, monkeypatch):
-        calls = [
-            self.count_calls(monkeypatch, module, "build_query_tree")
-            for module in (oddmax.positivity, oddmax.machine)
-        ]
+    def test_neither_check_builds_a_query_tree(self, monkeypatch):
+        assert not hasattr(oddmax.positivity, "build_query_tree")
+        calls = self.count_calls(monkeypatch, oddmax.machine, "build_query_tree")
         report = check_positivity_sampled(parse("((x1|x2)&(x3|x4))"), samples=500, seed=5)
         assert report.ok and report.pairs_checked == 500
-        assert calls == [[], []]
-        # The wrapper is live: the exhaustive sweep still builds the tree.
-        assert check_positivity_exhaustive(parse("x1")).ok
-        assert [len(c) for c in calls] == [1, 0]
+        report = check_positivity_exhaustive(parse("((x1|x2)&(!x1|!x2))"))
+        assert report.ok and report.pairs_checked == 729
+        assert calls == []
+        # The wrapper is live: the query universe still builds the tree.
+        assert len(query_universe(parse("x1"))) == 2
+        assert len(calls) == 1
 
-    def test_sampled_check_builds_queries_only_to_replay_a_violation(self, monkeypatch):
+    def test_checks_build_queries_only_to_replay_a_violation(self, monkeypatch):
         built = []
         original = Query.__new__
 
@@ -324,14 +339,20 @@ class TestMaskTree:
         monkeypatch.setattr(Query, "__new__", counting)
         report = check_positivity_sampled(parse("((x1|x2)&(x3|x4))"), samples=500, seed=5)
         assert report.ok and built == []
-        report = check_positivity_sampled(
-            parse("(x1&(x2&x3))"), samples=10_000, seed=3, program=MUTANT_SWAP_UNANIMOUS
-        )
-        assert not report.ok
-        # The universe's elements for the two finite oracles, then the queries
-        # of the two replayed runs.
-        assert built[:14] == sorted(q.wire() for q in report.violation.large.universe)
-        assert len(built) > 14
+        report = check_positivity_exhaustive(parse("((x1|x2)&(!x1|!x2))"))
+        assert report.ok and built == []
+        for check, text, options in [
+            (check_positivity_sampled, "(x1&(x2&x3))", {"samples": 10_000, "seed": 3}),
+            (check_positivity_exhaustive, "(x1&x2)", {}),
+        ]:
+            built.clear()
+            report = check(parse(text), program=MUTANT_SWAP_UNANIMOUS, **options)
+            assert not report.ok
+            # The universe's elements for the two finite oracles, then the
+            # queries of the two replayed runs.
+            k = report.universe_size
+            assert built[:k] == sorted(q.wire() for q in report.violation.large.universe)
+            assert len(built) > k, text
 
 
 class TestMutantReality:
@@ -448,6 +469,4 @@ class TestReportText:
         formula = parse("(!1|0)")
         report = check(formula)
         assert (report.formula, report.universe_size, report.ok) == ("(!1|0)", 0, True)
-        # The sampled check serializes once for its expansion and its report;
-        # the exhaustive check's tree has no root text to take it from.
-        assert serialized == [formula] * (2 if check is check_positivity_exhaustive else 1)
+        assert serialized == [formula]

@@ -433,7 +433,7 @@ class TestTextSatisfiable:
         self.assert_matches([text])
 
     @pytest.mark.parametrize("m", [21, 22, 23, 24])
-    def test_more_than_the_bound_takes_the_dpll_fallback(self, m, monkeypatch):
+    def test_more_than_the_bound_takes_the_lexmax_search(self, m, monkeypatch):
         parsed: list[str] = []
         original = oddmax.sat.parse
 
