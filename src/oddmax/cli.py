@@ -2,7 +2,8 @@
 verify machine/reference agreement and oracle monotonicity.
 
 Exit codes across all commands: 0 accept/OK, 1 reject/violation, 2 usage or
-input error.
+input error. The commands raise ValueError or OSError on bad input, and `main`
+is the one place where such an error becomes `error: ...` on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from typing import Sequence
 
 from .corpus import load_corpus, random_corpus
-from .formula import Formula, ParseError, assignment_bits, num_vars, parse, serialize
+from .formula import Formula, assignment_bits, num_vars, parse, serialize
 from .machine import (
     TREE_BOUND,
     Transcript,
@@ -62,11 +63,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(transcript.to_json())
     if not transcript.well_formed:
-        try:
-            parse(args.formula)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parse(args.formula)  # raises the ParseError that made run_machine reject
     if not args.json:
         print(_verdict_word(transcript.verdict))
         if args.trace:
@@ -76,11 +73,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_lexmax(args: argparse.Namespace) -> int:
-    try:
-        formula = parse(args.formula)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    formula = parse(args.formula)
     witness = lexmax(formula)
     if args.json:
         _print_json(
@@ -111,13 +104,8 @@ def _load_equivalence_batch(args: argparse.Namespace) -> tuple[list[Formula], di
 
 def cmd_verify_equivalence(args: argparse.Namespace) -> int:
     if args.random is not None and args.random < 1:
-        print(f"error: --random must be at least 1, got {args.random}", file=sys.stderr)
-        return 2
-    try:
-        batch, meta = _load_equivalence_batch(args)
-    except (ValueError, OSError) as exc:  # CorpusError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--random must be at least 1, got {args.random}")
+    batch, meta = _load_equivalence_batch(args)
     mismatches = []
     for formula in batch:
         machine_verdict = decide_oddmaxsat(formula)
@@ -165,21 +153,12 @@ def _positivity_line(report: PositivityReport) -> str:
 
 def cmd_verify_positivity(args: argparse.Namespace) -> int:
     if (args.formula is None) == (args.corpus is None):
-        print("error: provide exactly one of a formula or --corpus", file=sys.stderr)
-        return 2
-    try:
-        if args.corpus is not None:
-            batch = load_corpus(args.corpus)
-        else:
-            batch = [parse(args.formula)]
-    except (ValueError, OSError) as exc:  # CorpusError and ParseError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("provide exactly one of a formula or --corpus")
+    batch = load_corpus(args.corpus) if args.corpus is not None else [parse(args.formula)]
 
     sampled = args.samples is not None
     if sampled and args.samples < 1:
-        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     seed = args.seed
     if sampled and seed is None:
         seed = random.SystemRandom().randrange(2**32)
@@ -200,8 +179,7 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
                 skipped.append(f"skipped {serialize(formula)} ({reason})")
                 continue
             hint = "" if beyond_tree else f"; use --samples for universes beyond {SUBSET_PAIR_BOUND}"
-            print(f"error: {exc}{hint}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{exc}{hint}") from exc
 
     if args.json:
         payload: object = [r.to_json() for r in reports]
@@ -219,12 +197,7 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    try:
-        formula = parse(args.formula)
-        tree = build_query_tree(formula)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tree = build_query_tree(parse(args.formula))
     if args.json:
         _print_json(tree_to_json(tree))
     else:
@@ -318,6 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ValueError, OSError) as exc:  # ParseError, CorpusError and decode errors too
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except RecursionError:  # the AST walkers recurse; nesting has no bound yet
         print("error: input nested too deeply", file=sys.stderr)
         return 2

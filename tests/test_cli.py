@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
+from conftest import any_text
 from oddmax.cli import main
 
 TRANSCRIPT_SCHEMA = {
@@ -88,6 +92,7 @@ def run_cli(capsys, *argv):
 DEEP = "!" * 5000 + "(x1&x2)"
 DEEP_WIDE_QUERY = "!" * 5000 + "(" + "&".join(f"x{i}" for i in range(1, 22)) + ")0"
 TOO_DEEP = (2, "", "error: input nested too deeply\n")
+ONE_OF_A_FORMULA_OR_A_CORPUS = "error: provide exactly one of a formula or --corpus\n"
 
 
 class TestDecide:
@@ -119,17 +124,15 @@ class TestDecide:
         assert (code, out.strip()) == (1, "reject")
 
     def test_parse_error_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "decide", "x0")
-        assert code == 2
-        assert out == ""
-        assert "syntax error" in err
+        assert run_cli(capsys, "decide", "x0") == (
+            2, "", "error: syntax error at position 1: variable index must be >= 1\n"
+        )
 
     @pytest.mark.parametrize("text", ["x101", "x99999999"])
     def test_index_beyond_the_cap_exits_2(self, capsys, text):
-        code, out, err = run_cli(capsys, "decide", text)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: syntax error")
+        assert run_cli(capsys, "decide", text) == (
+            2, "", "error: syntax error at position 1: variable index exceeds 100\n"
+        )
 
     def test_json_transcript_validates(self, capsys):
         code, out, _ = run_cli(capsys, "decide", "((x1|x2)&(!x1|!x2))", "--json")
@@ -165,7 +168,9 @@ class TestLexmax:
         assert run_cli(capsys, "lexmax", "x2")[:2] == (0, "11\n")
 
     def test_parse_error(self, capsys):
-        assert run_cli(capsys, "lexmax", "(x1")[0] == 2
+        assert run_cli(capsys, "lexmax", "(x1") == (
+            2, "", "error: syntax error at position 3: expected ')'\n"
+        )
 
     def test_deep_input_exits_2(self, capsys):
         assert run_cli(capsys, "lexmax", DEEP) == TOO_DEEP
@@ -217,21 +222,15 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("max_vars", ["101", "0"])
     def test_random_batch_beyond_the_index_cap_exits_2(self, capsys, max_vars):
-        code, out, err = run_cli(
+        assert run_cli(
             capsys, "verify-equivalence", "--random", "5", "--seed", "1", "--max-vars", max_vars
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
+        ) == (2, "", f"error: max_vars must be between 1 and 100, got {max_vars}\n")
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_non_positive_random_counts_exit_2(self, capsys, count):
-        code, out, err = run_cli(
-            capsys, "verify-equivalence", "--random", count, "--seed", "1"
+        assert run_cli(capsys, "verify-equivalence", "--random", count, "--seed", "1") == (
+            2, "", f"error: --random must be at least 1, got {count}\n"
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "--random" in err
 
     def test_non_positive_random_count_prints_no_seed(self, capsys):
         code, out, err = run_cli(capsys, "verify-equivalence", "--random", "0")
@@ -314,12 +313,9 @@ class TestVerifyPositivity:
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_non_positive_sample_counts_exit_2(self, capsys, samples):
-        code, out, err = run_cli(
+        assert run_cli(
             capsys, "verify-positivity", "x1", "--samples", samples, "--seed", "1", "--json"
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "samples" in err
+        ) == (2, "", f"error: --samples must be at least 1, got {samples}\n")
 
     def test_non_positive_sample_count_prints_no_seed(self, capsys):
         code, out, err = run_cli(capsys, "verify-positivity", "x1", "--samples", "0")
@@ -407,18 +403,14 @@ class TestVerifyPositivity:
         assert "skipped" in out
 
     def test_needs_a_formula_or_a_corpus(self, capsys):
-        code, out, err = run_cli(capsys, "verify-positivity")
-        assert code == 2
-        assert out == ""
-        assert "provide exactly one of a formula or --corpus" in err
+        assert run_cli(capsys, "verify-positivity") == (2, "", ONE_OF_A_FORMULA_OR_A_CORPUS)
 
     def test_rejects_both_a_formula_and_a_corpus(self, capsys, tmp_path):
         path = tmp_path / "one.txt"
         path.write_text("x1\n")
-        code, out, err = run_cli(capsys, "verify-positivity", "x1", "--corpus", str(path))
-        assert code == 2
-        assert out == ""
-        assert "provide exactly one of a formula or --corpus" in err
+        assert run_cli(capsys, "verify-positivity", "x1", "--corpus", str(path)) == (
+            2, "", ONE_OF_A_FORMULA_OR_A_CORPUS
+        )
 
     def test_json_corpus_reports_are_a_list(self, capsys, tmp_path):
         path = tmp_path / "two.txt"
@@ -464,7 +456,9 @@ class TestTree:
             assert child["edges"]["FIX_FALSE"] == {"verdict": "reject"}
 
     def test_bound_exceeded(self, capsys):
-        assert run_cli(capsys, "tree", "(x1|x11)")[0] == 2
+        assert run_cli(capsys, "tree", "(x1|x11)") == (
+            2, "", "error: formula has 11 variables, exceeding the tree bound 10\n"
+        )
 
     def test_deep_input_exits_2(self, capsys):
         assert run_cli(capsys, "tree", DEEP) == TOO_DEEP
@@ -520,3 +514,50 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *[pytest.param((command, "--corpus", "{%s}" % corpus), message,
+                           id=f"{command}-{corpus}-corpus")
+              for command in ("verify-equivalence", "verify-positivity")
+              for corpus, message in [
+                  ("missing", "[Errno 2] No such file or directory: '{missing}'"),
+                  ("directory", "[Errno 21] Is a directory: '{directory}'"),
+                  ("undecodable",
+                   "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+              ]],
+            pytest.param(("verify-equivalence", "--random", "2", "--size", "0", "--seed", "1"),
+                         "size must be >= 1", id="verify-equivalence-size-0"),
+        ],
+    )
+    def test_input_error_exits_2_with_its_message(self, capsys, tmp_path, argv, message):
+        paths = {
+            "missing": tmp_path / "missing.txt",
+            "directory": tmp_path,
+            "undecodable": tmp_path / "undecodable.txt",
+        }
+        paths["undecodable"].write_bytes(b"\xff\xfe")
+        argv = [arg.format(**paths) for arg in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message.format(**paths)}\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_text)
+    def test_any_text_exits_0_1_or_2_with_one_error_line(self, text):
+        # "--" ends the options, so text that starts with "-" is still the input.
+        for argv in (
+            ["decide", "--", text],
+            ["lexmax", "--", text],
+            ["tree", "--", text],
+            ["oracle", "--", text + "0"],
+            ["verify-positivity", "--samples", "20", "--seed", "1", "--", text],
+        ):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert out.getvalue() == "", argv
+                message = err.getvalue()
+                assert message.startswith("error: "), argv
+                assert message.endswith("\n") and message.splitlines(True) == [message], argv

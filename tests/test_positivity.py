@@ -15,6 +15,7 @@ from oddmax.machine import (
     IterationCase,
     MUTANT_PROGRAMS,
     MUTANT_SWAP_UNANIMOUS,
+    MachineProgram,
     STANDARD_PROGRAM,
     TREE_BOUND,
     TreeNode,
@@ -25,7 +26,7 @@ from oddmax.machine import (
     tree_queries,
     tree_verdict,
 )
-from oddmax.oracle import SUBSET_PAIR_BOUND, Query, mask_subset, sorted_universe
+from oddmax.oracle import SUBSET_PAIR_BOUND, FiniteOracle, Query, mask_subset, sorted_universe
 from oddmax.positivity import (
     _compile,
     _mask_verdict,
@@ -353,6 +354,27 @@ class TestMaskTree:
             k = report.universe_size
             assert built[:k] == sorted(q.wire() for q in report.violation.large.universe)
             assert len(built) > k, text
+
+    def test_int_verdicts_expand_to_bool_leaves(self):
+        # An int verdict as a leaf would stop no tree walk, which ends on a bool.
+        ints = MachineProgram(accept_both_verdict=1, reject_both_verdict=0)
+        rng = random.Random(23)
+        for text in ("x1", "(x1&x2)"):
+            formula = parse(text)
+            assert check_positivity_exhaustive(formula, ints) == check_positivity_exhaustive(
+                formula
+            ), text
+            assert check_positivity_sampled(formula, 200, 1, ints) == check_positivity_sampled(
+                formula, 200, 1
+            ), text
+            tree = build_query_tree(formula, ints)
+            universe = frozenset(query_universe(formula, ints))
+            ordered = sorted(universe, key=Query.wire)
+            for _ in range(8):
+                oracle = FiniteOracle(universe, frozenset(q for q in ordered if rng.randrange(2)))
+                verdict = tree_verdict(tree, oracle)
+                assert type(verdict) is bool, text
+                assert verdict == run_machine(text, oracle, ints).verdict, text
 
 
 class TestMutantReality:
