@@ -4,12 +4,14 @@ verify machine/reference agreement and oracle monotonicity.
 Exit codes across all commands: 0 accept/OK, 1 reject/violation, 2 usage or
 input error. The commands raise ValueError or OSError on bad input, and `main`
 is the one place where such an error becomes `error: ...` on stderr and exit 2.
+A reader that closes stdout early gets exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Sequence
@@ -291,6 +293,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader has gone: point stdout at devnull so that the flush at
+        # exit writes nowhere, and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:  # ParseError, CorpusError and decode errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Formula corpora: the curated file shipped with the package, user corpus
 files, and seeded random batches.
 
-Corpus file format: one formula per line; lines whose first non-blank
-character is '#' are comments; blank lines are ignored.
+Corpus file format: UTF-8 text, one formula per line; lines whose first
+non-blank character is '#' are comments; blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def parse_corpus(text: str) -> list[Formula]:
 
 def load_corpus(path: str | Path) -> list[Formula]:
     """The formulas of a corpus file; ValueError if it holds none."""
-    formulas = parse_corpus(Path(path).read_text())
+    formulas = parse_corpus(Path(path).read_text(encoding="utf-8"))
     if not formulas:
         raise ValueError(f"corpus {path} holds no formulas")
     return formulas
@@ -45,7 +45,7 @@ def load_corpus(path: str | Path) -> list[Formula]:
 
 def curated_corpus() -> list[Formula]:
     """The hand-written corpus shipped with the package."""
-    text = resources.files("oddmax").joinpath("data/curated.txt").read_text()
+    text = resources.files("oddmax").joinpath("data/curated.txt").read_text(encoding="utf-8")
     return parse_corpus(text)
 
 

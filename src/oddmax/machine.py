@@ -15,23 +15,25 @@ variable tokens, and a body is that text with '1' or '0' written over the
 tokens of x_1..x_i: the string serialize(substitute(...)) gives for those pins.
 
 All runs are expanded in one place, `expand_runs`, which takes the node
-builder as an argument, and every tree has one node layout: the two queries,
-then the four children in IterationCase order. `build_query_tree` builds
+builder as an argument; each job passes its own builder and walks no tree
+built for another job. Every tree has one node layout: the two queries, then
+the four children in IterationCase order. `build_query_tree` builds
 TreeNodes, which hold Query objects and then the iteration and its text, for
-the tree dumps and `query_universe`; the positivity checks build bare tuples
-of the two wire strings and the children (`wire_node`). `tree_queries` and
-`tree_verdict` walk any tree of that layout.
+the tree dumps; `query_bodies` builds nothing and only gathers the bodies,
+from which `query_universe` makes its queries; the positivity checks build
+their mask nodes over those bodies' wires. `tree_verdict` walks any tree of
+that layout.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping, NamedTuple, TypeVar, Union
 
 # _VARIABLE is the variable-token pattern parse's tokenizer splits at.
 from .formula import Formula, ParseError, _VARIABLE, canonical, serialize
-from .oracle import Oracle, Query, sat_join_cosat
+from .oracle import TAGS, Oracle, Query, sat_join_cosat
 
 #: Largest variable count for full tree expansion and query universes.
 TREE_BOUND = 10
@@ -78,6 +80,12 @@ class MachineProgram:
     fix_false_value: bool = False
     fix_true_final: bool = True
     fix_false_final: bool = False
+
+    def __post_init__(self) -> None:
+        # Every entry is a bool whatever was passed: runs report these
+        # verdicts as they are, and tree walks end on a bool leaf.
+        for field in fields(self):
+            object.__setattr__(self, field.name, bool(getattr(self, field.name)))
 
     def step(self, case: IterationCase) -> tuple[bool | None, bool]:
         """(value, verdict): the value x_i is pinned to, or None when `case`
@@ -210,9 +218,8 @@ class TreeNode(NamedTuple):
     """One loop iteration with its two queries and its four successors, in
     IterationCase order, each a node or a bare verdict.
 
-    The first six slots are a WireTree node's, with Query objects in place of
-    wire strings. `text` is the canonical text the iteration starts from: the
-    formula with the pins of x_1..x_{i-1} written in."""
+    `text` is the canonical text the iteration starts from: the formula with
+    the pins of x_1..x_{i-1} written in."""
 
     query0: Query
     query1: Query
@@ -235,11 +242,6 @@ class TreeNode(NamedTuple):
 
 QueryTree = Union[TreeNode, bool]
 
-#: The tree of all runs over wire strings, as `expand_runs` builds it with
-#: `wire_node`: a TreeNode's first six slots, with the wire strings in place
-#: of the queries; a leaf is its verdict.
-WireTree = Union[tuple, bool]
-
 _N = TypeVar("_N")
 
 
@@ -261,8 +263,7 @@ def expand_runs(
         raise ValueError(f"formula has {n} variables, exceeding the tree bound {TREE_BOUND}")
     if n == 0:
         return False
-    # Leaves are bools whatever the program's verdicts are: tree_verdict's walk ends on one.
-    table = [(value, bool(verdict)) for value, verdict in map(program.step, IterationCase)]
+    table = list(map(program.step, IterationCase))
 
     def expand(i: int, text: str, pieces: list[str]) -> _N:
         # `pieces` is `text` split by _split; this call may write into it.
@@ -287,11 +288,6 @@ def expand_runs(
 
 def _tree_node(i: int, text: str, body: str, children: list) -> TreeNode:
     return TreeNode(Query(body, "0"), Query(body, "1"), *children, i, text)
-
-
-def wire_node(i: int, text: str, body: str, children: list) -> tuple:
-    """The `expand_runs` node of a WireTree: the two wire strings, then the children."""
-    return (body + "0", body + "1", *children)
 
 
 def build_query_tree(
@@ -319,24 +315,20 @@ def tree_verdict(tree: Union[tuple, bool], oracle: Callable[[Any], object]) -> b
     return node
 
 
-def tree_queries(tree: Union[QueryTree, WireTree]) -> frozenset:
-    """Every query appearing anywhere in the tree: the Query objects of a
-    QueryTree, the wire strings of a WireTree."""
-    queries = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            queries.update(node[:2])
-            stack.extend(node[2:6])
-    return frozenset(queries)
+def query_bodies(text: str, program: MachineProgram) -> set[str]:
+    """Every body asked on the canonical `text` under some oracle behavior,
+    from one expansion that builds no node. Raises ValueError past TREE_BOUND."""
+    bodies: set[str] = set()
+    expand_runs(text, program, lambda i, text, body, children: bodies.add(body))
+    return bodies
 
 
 def query_universe(
     formula: Formula, program: MachineProgram = STANDARD_PROGRAM
 ) -> frozenset[Query]:
     """The set of queries reachable on the formula under some oracle behavior."""
-    return tree_queries(build_query_tree(formula, program))
+    bodies = query_bodies(serialize(formula), program)
+    return frozenset(Query(body, tag) for body in bodies for tag in TAGS)
 
 
 def tree_to_json(tree: QueryTree) -> dict:

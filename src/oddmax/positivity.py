@@ -4,13 +4,13 @@ never turn an accepted input into a rejected one.
 The check quantifies over subsets of the reachable query universe rather
 than over all strings; a run's verdict only ever consults queries from that
 universe, so the restriction loses nothing (the test suite pins this down).
-Both checks start from one compile (`_compile`): it expands the runs once
-into the wire tree (`expand_runs` with `wire_node`), sorts the wires, and
-compiles the wire tree into the same node layout over masks (`_mask_tree`),
-bit i standing for the i-th sorted wire. Small universes are swept
-exhaustively over all 3^|U| nested mask pairs of `enumerate_subset_pairs`,
-against one table of 2^|U| verdicts filled by walking the compiled tree with
-`tree_verdict` once per mask; larger ones are sampled, every pair from one
+Both checks start from one compile (`_compile`) of two expansions of the
+runs: the first gathers the asked bodies (`query_bodies`), whose wires are
+sorted, bit i standing for the i-th sorted wire; the second builds the one
+node layout over those bits (`expand_runs` with a mask-node builder). Small
+universes are swept exhaustively over all 3^|U| nested mask pairs of
+`enumerate_subset_pairs`, against one table of 2^|U| verdicts filled by
+walking the compiled tree with `tree_verdict` once per mask; larger ones are sampled, every pair from one
 `subset_mask_draws` stream, each mask selecting its run with two integer
 ANDs per level (`_mask_verdict`). Neither check builds the query tree.
 Queries, frozensets and finite oracles are built only to replay a violation.
@@ -21,20 +21,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Mapping, Union
+from typing import Union
 
 from .formula import Formula, serialize
 from .machine import (
     MachineProgram,
     STANDARD_PROGRAM,
-    WireTree,
     expand_runs,
+    query_bodies,
     run_machine,
-    tree_queries,
     tree_verdict,
-    wire_node,
 )
 from .oracle import (
+    TAGS,
     FiniteOracle,
     Query,
     enumerate_subset_pairs,
@@ -105,27 +104,23 @@ def _replayed_counterexample(
     return Counterexample(small_oracle, large_oracle, small_verdict, large_verdict)
 
 
-#: A compiled run tree: a WireTree with each wire string replaced by its
-#: mask bit, (bit0, bit1, fix_true, fix_false, accept_both, reject_both) per
+#: A compiled run tree: the mask bits of the node's two queries, then its
+#: children, (bit0, bit1, fix_true, fix_false, accept_both, reject_both) per
 #: node; a leaf is its verdict.
 MaskTree = Union[tuple, bool]
 
 
-def _mask_tree(tree: WireTree, bit: Mapping[str, int]) -> MaskTree:
-    """Compile the tree for `_mask_verdict`; `bit` maps each wire to its mask bit."""
-    if type(tree) is not tuple:
-        return tree
-    wire0, wire1, *children = tree
-    return (bit[wire0], bit[wire1], *[_mask_tree(child, bit) for child in children])
-
-
 def _compile(formula: Formula, program: MachineProgram) -> tuple[str, list[str], MaskTree]:
     """The report text, the universe's sorted wires, and the mask tree over
-    them, from one expansion of the runs. Raises ValueError past TREE_BOUND."""
+    them. Raises ValueError past TREE_BOUND."""
     text = serialize(formula)
-    tree = expand_runs(text, program, wire_node)
-    wires = sorted(tree_queries(tree))
-    return text, wires, _mask_tree(tree, {wire: 1 << i for i, wire in enumerate(wires)})
+    wires = sorted(body + tag for body in query_bodies(text, program) for tag in TAGS)
+    bit = {wire: 1 << i for i, wire in enumerate(wires)}
+
+    def mask_node(i: int, text: str, body: str, children: list) -> tuple:
+        return (bit[body + "0"], bit[body + "1"], *children)
+
+    return text, wires, expand_runs(text, program, mask_node)
 
 
 def _mask_verdict(node: MaskTree, mask: int) -> bool:

@@ -156,6 +156,19 @@ def reachable_query_wires(
     return wires
 
 
+def tree_queries(tree) -> frozenset:
+    """Every query appearing anywhere in a tree of the machine's one node
+    layout: slots 0 and 1 of every node, the four children after them."""
+    queries = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            queries.update(node[:2])
+            stack.extend(node[2:6])
+    return frozenset(queries)
+
+
 SetPredicate = Union[Callable[[str], bool], Collection[str]]
 
 

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 
+import oddmax
 from conftest import any_text
 from oddmax.cli import main
 
@@ -561,3 +566,53 @@ class TestUsageErrors:
                 message = err.getvalue()
                 assert message.startswith("error: "), argv
                 assert message.endswith("\n") and message.splitlines(True) == [message], argv
+
+
+class TestProcess:
+    """The CLI as a process, for what only a process has: a stdout pipe that
+    closes and a locale."""
+
+    @staticmethod
+    def command(*argv):
+        return [sys.executable, "-X", "utf8=0", "-m", "oddmax.cli", *argv]
+
+    @staticmethod
+    def environment(**variables):
+        source = str(Path(oddmax.__file__).resolve().parents[1])
+        return {**os.environ, "PYTHONPATH": source, **variables}
+
+    def test_a_closed_stdout_exits_1_with_empty_stderr(self):
+        # Its tree dump (391 kB) is larger than a pipe holds.
+        wide = "(((((((((x1|x2)|x3)|x4)|x5)|x6)|x7)|x8)|x9)|x10)"
+        process = subprocess.Popen(
+            self.command("tree", wide),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.environment(),
+        )
+        head = process.stdout.read(10)
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert (process.wait(timeout=60), head, err) == (1, b"[i=1] ((((", b"")
+
+    def test_corpus_files_are_utf8_under_any_locale(self, tmp_path):
+        cafe = tmp_path / "cafe.txt"
+        cafe.write_text("# caf\u00e9\n((x1|x2)&!x2)\n", encoding="utf-8")
+        undecodable = tmp_path / "undecodable.txt"
+        undecodable.write_bytes(b"\xff\xfe")
+        undecodable_error = (
+            b"error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+        for locale in ("C", "C.UTF-8"):
+            env = self.environment(LC_ALL=locale)
+            run = subprocess.run(
+                self.command("verify-equivalence", "--corpus", str(cafe)),
+                capture_output=True, env=env, timeout=60,
+            )
+            assert (run.returncode, run.stdout, run.stderr) == (
+                0, b"checked=1 mismatches=0\n", b""
+            ), locale
+            run = subprocess.run(
+                self.command("verify-equivalence", "--corpus", str(undecodable)),
+                capture_output=True, env=env, timeout=60,
+            )
+            assert (run.returncode, run.stdout, run.stderr) == (2, b"", undecodable_error), locale

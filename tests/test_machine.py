@@ -16,6 +16,7 @@ from conftest import (
     any_text,
     reachable_query_wires,
     reference_lexmax,
+    tree_queries,
 )
 from oddmax.formula import (
     And,
@@ -35,6 +36,7 @@ from oddmax.machine import (
     IterationCase,
     MUTANT_PROGRAMS,
     STANDARD_PROGRAM,
+    TREE_BOUND,
     QueryRecord,
     Transcript,
     TreeNode,
@@ -45,10 +47,8 @@ from oddmax.machine import (
     query_universe,
     render_tree,
     run_machine,
-    tree_queries,
     tree_to_json,
     tree_verdict,
-    wire_node,
 )
 import oddmax.machine
 import oddmax.oracle
@@ -401,6 +401,22 @@ class TestQueryUniverse:
         with pytest.raises(ValueError):
             query_universe(wide)
 
+    @pytest.mark.parametrize(
+        "program,texts",
+        [(program, TRICKY_TREE_TEXTS) for program in (STANDARD_PROGRAM, *MUTANT_PROGRAMS.values())]
+        + [(program, SMALL_TREE_TEXTS) for program in FAMILY],
+        ids=["standard", *MUTANT_PROGRAMS, *(f"family-{i:06b}" for i in range(len(FAMILY)))],
+    )
+    def test_equals_the_query_trees_queries(self, program, texts):
+        # "(1&!0)" is constant: no tree, so an empty universe.
+        for text in [*texts, "(1&!0)"]:
+            formula = parse(text)
+            universe = query_universe(formula, program)
+            assert universe == tree_queries(build_query_tree(formula, program)), text
+            assert {q.wire() for q in universe} == reachable_query_wires(formula, program), text
+        with pytest.raises(ValueError, match=f"exceeding the tree bound {TREE_BOUND}$"):
+            query_universe(parse(f"(x1|x{TREE_BOUND + 1})"), program)
+
 
 @dataclass(frozen=True)
 class ReferenceNode:
@@ -457,6 +473,11 @@ def assert_same_tree(tree, reference):
     assert [case for case, _ in tree.edges] == [case for case, _ in reference.edges]
     for (_, child), (_, expected) in zip(tree.edges, reference.edges):
         assert_same_tree(child, expected)
+
+
+def wire_node(i, text, body, children):
+    """A test-side `expand_runs` builder: the two wire strings, then the children."""
+    return (body + "0", body + "1", *children)
 
 
 def wire_layout(tree):

@@ -9,7 +9,7 @@ import pytest
 
 import oddmax.machine
 import oddmax.positivity
-from conftest import FAMILY, SMALL_TREE_TEXTS, TRICKY_TREE_TEXTS
+from conftest import FAMILY, SMALL_TREE_TEXTS, TRICKY_TREE_TEXTS, tree_queries
 from oddmax.formula import num_vars, parse, serialize
 from oddmax.machine import (
     IterationCase,
@@ -23,7 +23,6 @@ from oddmax.machine import (
     classify_case,
     query_universe,
     run_machine,
-    tree_queries,
     tree_verdict,
 )
 from oddmax.oracle import SUBSET_PAIR_BOUND, FiniteOracle, Query, mask_subset, sorted_universe
@@ -325,8 +324,11 @@ class TestMaskTree:
         report = check_positivity_exhaustive(parse("((x1|x2)&(!x1|!x2))"))
         assert report.ok and report.pairs_checked == 729
         assert calls == []
-        # The wrapper is live: the query universe still builds the tree.
+        # Nor does the query universe.
         assert len(query_universe(parse("x1"))) == 2
+        assert calls == []
+        # The wrapper is live: it counts the build itself.
+        oddmax.machine.build_query_tree(parse("x1"))
         assert len(calls) == 1
 
     def test_checks_build_queries_only_to_replay_a_violation(self, monkeypatch):
@@ -374,7 +376,10 @@ class TestMaskTree:
                 oracle = FiniteOracle(universe, frozenset(q for q in ordered if rng.randrange(2)))
                 verdict = tree_verdict(tree, oracle)
                 assert type(verdict) is bool, text
-                assert verdict == run_machine(text, oracle, ints).verdict, text
+                transcript = run_machine(text, oracle, ints)
+                assert type(transcript.verdict) is bool, text
+                assert verdict == transcript.verdict, text
+                assert transcript.to_json() == run_machine(text, oracle).to_json(), text
 
 
 class TestMutantReality:
