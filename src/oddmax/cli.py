@@ -89,13 +89,6 @@ def cmd_lexmax(args: argparse.Namespace) -> int:
     return 1 if witness is None else 0
 
 
-def _reference_verdict(formula: Formula) -> bool:
-    # The machine rejects constant formulas; mirror that in the reference.
-    if num_vars(formula) == 0:
-        return False
-    return odd_max_sat_ref(formula)
-
-
 def _load_equivalence_batch(args: argparse.Namespace) -> tuple[list[Formula], dict]:
     if args.corpus is not None:
         return load_corpus(args.corpus), {"source": f"corpus:{args.corpus}", "seed": None}
@@ -111,7 +104,7 @@ def cmd_verify_equivalence(args: argparse.Namespace) -> int:
     mismatches = []
     for formula in batch:
         machine_verdict = decide_oddmaxsat(formula)
-        reference_verdict = _reference_verdict(formula)
+        reference_verdict = odd_max_sat_ref(formula)
         if machine_verdict != reference_verdict:
             mismatches.append(
                 {
@@ -193,8 +186,8 @@ def cmd_verify_positivity(args: argparse.Namespace) -> int:
             print(f"seed={seed}")
         for report in reports:
             print(_positivity_line(report))
-        for line in skipped:
-            print(line)
+    for line in skipped:  # in JSON mode on stderr, so stdout stays one JSON value
+        print(line, file=sys.stderr if args.json else sys.stdout)
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -10,10 +10,12 @@ sorted, bit i standing for the i-th sorted wire; the second builds the one
 node layout over those bits (`expand_runs` with a mask-node builder). Small
 universes are swept exhaustively over all 3^|U| nested mask pairs of
 `enumerate_subset_pairs`, against one table of 2^|U| verdicts filled by
-walking the compiled tree with `tree_verdict` once per mask; larger ones are sampled, every pair from one
-`subset_mask_draws` stream, each mask selecting its run with two integer
-ANDs per level (`_mask_verdict`). Neither check builds the query tree.
-Queries, frozensets and finite oracles are built only to replay a violation.
+walking the compiled tree with `tree_verdict` once per mask; larger ones are
+sampled, every pair from one `subset_mask_draws` stream, each mask selecting
+its run with two integer ANDs per level (`_mask_verdict`). Neither check
+builds the query tree. Both return through one report builder (`_report`),
+the only place that builds Queries, frozensets and finite oracles: it
+replays a violating mask pair by two run_machine calls.
 """
 
 from __future__ import annotations
@@ -90,18 +92,22 @@ class PositivityReport:
         }
 
 
-def _replayed_counterexample(
-    text: str, wires: list[str], small: int, large: int, program: MachineProgram
-) -> Counterexample:
-    """Replay the mask pair (small, large) over the sorted `wires` as two
-    finite oracles."""
-    elements = tuple(map(Query.from_wire, wires))
-    universe = frozenset(elements)
-    small_oracle = FiniteOracle(universe, mask_subset(elements, small))
-    large_oracle = FiniteOracle(universe, mask_subset(elements, large))
-    small_verdict = run_machine(text, small_oracle, program).verdict
-    large_verdict = run_machine(text, large_oracle, program).verdict
-    return Counterexample(small_oracle, large_oracle, small_verdict, large_verdict)
+def _report(
+    text: str, wires: list[str], program: MachineProgram, mode: str, checked: int,
+    seed: int | None, pair: tuple[int, int] | None = None,
+) -> PositivityReport:
+    """The report of a check over the sorted `wires`. A violating mask pair
+    (small, large) is replayed as two finite oracles by two run_machine calls."""
+    violation = None
+    if pair is not None:
+        elements = tuple(map(Query.from_wire, wires))
+        universe = frozenset(elements)
+        small, large = (FiniteOracle(universe, mask_subset(elements, mask)) for mask in pair)
+        violation = Counterexample(
+            small, large, run_machine(text, small, program).verdict,
+            run_machine(text, large, program).verdict,
+        )
+    return PositivityReport(text, mode, len(wires), checked, seed, violation)
 
 
 #: A compiled run tree: the mask bits of the node's two queries, then its
@@ -150,15 +156,9 @@ def check_positivity_exhaustive(
     accepts = [tree_verdict(compiled, mask.__and__) for mask in range(1 << k)]
     for small, large in pairs:
         if accepts[small] and not accepts[large]:
-            return PositivityReport(
-                formula=text,
-                mode="exhaustive",
-                universe_size=k,
-                pairs_checked=subset_pair_rank(k, small, large) + 1,
-                seed=None,
-                violation=_replayed_counterexample(text, wires, small, large, program),
-            )
-    return PositivityReport(text, "exhaustive", k, 3**k, None, None)
+            rank = subset_pair_rank(k, small, large)
+            return _report(text, wires, program, "exhaustive", rank + 1, None, (small, large))
+    return _report(text, wires, program, "exhaustive", 3**k, None)
 
 
 def check_positivity_sampled(
@@ -179,12 +179,5 @@ def check_positivity_sampled(
     for checked, (large, r) in enumerate(draws, 1):
         small = large & r
         if _mask_verdict(compiled, small) and not _mask_verdict(compiled, large):
-            return PositivityReport(
-                formula=text,
-                mode="sampled",
-                universe_size=len(wires),
-                pairs_checked=checked,
-                seed=seed,
-                violation=_replayed_counterexample(text, wires, small, large, program),
-            )
-    return PositivityReport(text, "sampled", len(wires), samples, seed, None)
+            return _report(text, wires, program, "sampled", checked, seed, (small, large))
+    return _report(text, wires, program, "sampled", samples, seed)

@@ -243,12 +243,9 @@ def odd_max_sat_ref(formula: Formula) -> bool:
     """Reference decider: satisfiable with x_n true in the lex-max witness.
 
     An assignment read as the binary numeral x_1..x_n is odd exactly when
-    x_n is true. Rejects unsatisfiable formulas. Constant formulas have no
-    x_n and are an error here; the machine runner is the layer that maps
-    them to rejection.
+    x_n is true. Rejects unsatisfiable formulas, and, as the machine does, a
+    formula without variables, which has no x_n to be true; so
+    decide_oddmaxsat(f) == odd_max_sat_ref(f) for every formula f.
     """
-    n = num_vars(formula)
-    if n < 1:
-        raise ValueError("constant formula: no final variable to test")
-    top = _top_model(formula, n)
+    top = _top_model(formula, num_vars(formula))
     return top is not None and top & 1 == 1

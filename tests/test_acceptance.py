@@ -23,6 +23,7 @@ from oddmax.formula import And, Not, Or, Var, num_vars, parse, random_formula, s
 from oddmax.machine import (
     IterationCase,
     MUTANT_PROGRAMS,
+    decide_oddmaxsat,
     query_universe,
     run_machine,
 )
@@ -37,23 +38,13 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
 
 
-def machine_verdict(formula) -> bool:
-    return run_machine(serialize(formula), sat_join_cosat).verdict
-
-
-def reference_verdict(formula) -> bool:
-    if num_vars(formula) == 0:
-        return False  # no final variable: the machine rejects
-    return odd_max_sat_ref(formula)
-
-
 def test_theorem1_equivalence():
     """Machine and reference agree on the curated corpus and 2000 random
     formulas with n <= 8; zero mismatches; under 60 s."""
     start = time.perf_counter()
     batch = CORPUS + random_corpus(2000, max_vars=8, size=25, seed=1789)
     mismatches = [
-        serialize(f) for f in batch if machine_verdict(f) != reference_verdict(f)
+        serialize(f) for f in batch if decide_oddmaxsat(f) != odd_max_sat_ref(f)
     ]
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 60
@@ -145,11 +136,11 @@ def equivalence_catch(program, pool):
     the serialized text; None if no formula in the pool gives one."""
     for formula in pool:
         text = serialize(formula)
-        expected = reference_verdict(formula)
+        expected = odd_max_sat_ref(formula)
         if run_machine(text, sat_join_cosat, program).verdict == expected:
             continue
         replayed = run_machine(text, sat_join_cosat, program).verdict
-        if replayed != reference_verdict(parse(text)):
+        if replayed != odd_max_sat_ref(parse(text)):
             return text
     return None
 
@@ -326,6 +317,46 @@ def test_block_sweep_agreement():
     assert elapsed < 5
 
 
+def test_hard_inputs_below_the_bound():
+    """Threshold 3-CNF at n = 10..20, 20 formulas per n: the machine equals
+    the reference (Theorem 1), swap-continuations is wrong on every accepted
+    formula and swap-final-verdicts on every formula, and splitting search
+    equals the block sweep for n <= 14; zero mismatches; under 30 s."""
+    start = time.perf_counter()
+    batch = [threshold_cnf(seed, n) for n in range(10, 21) for seed in range(20)]
+    texts = [serialize(f) for f in batch]
+    witnesses = [lexmax(f) for f in batch]
+    verdicts = [odd_max_sat_ref(f) for f in batch]
+    mismatches = [t for f, t, v in zip(batch, texts, verdicts) if decide_oddmaxsat(f) != v]
+    wrong = {
+        name: [
+            run_machine(t, sat_join_cosat, MUTANT_PROGRAMS[name]).verdict != v
+            for t, v in zip(texts, verdicts)
+        ]
+        for name in ("swap-continuations", "swap-final-verdicts")
+    }
+    # sat_dpll has no unit propagation: up to n = 14 this takes about 1 s,
+    # up to n = 20 about 11 s.
+    backends = [f for f in batch if num_vars(f) <= 14]
+    disagreements = [serialize(f) for f in backends if sat_dpll(f) != sat_bruteforce(f)]
+    elapsed = time.perf_counter() - start
+    ok = not mismatches and not disagreements and elapsed < 30
+    report(
+        "hard-inputs-below-the-bound",
+        ok,
+        f"(formulas={len(batch)} unsat={witnesses.count(None)} accepted={sum(verdicts)} "
+        f"mismatches={len(mismatches)} mutants-wrong={[sum(w) for w in wrong.values()]} "
+        f"backends={len(backends)} disagreements={len(disagreements)} time={elapsed:.1f}s)",
+    )
+    # Hard inputs: UNSAT formulas, no all-true witness, both verdicts.
+    assert witnesses.count(None) == 51 and not any(w and all(w) for w in witnesses)
+    assert sum(verdicts) == 92
+    assert mismatches == []
+    assert wrong["swap-continuations"] == verdicts and all(wrong["swap-final-verdicts"])
+    assert len(backends) == 100 and disagreements == []
+    assert elapsed < 30
+
+
 def test_hard_inputs_above_the_bound():
     """Threshold 3-CNF above the truth-table bound, 4 formulas per n: lexmax
     and odd_max_sat_ref equal the greedy reference for n = 21..23, and the
@@ -344,8 +375,8 @@ def test_hard_inputs_above_the_bound():
                 odd = witness is not None and witness[-1]
                 if witness != lexmax_greedy(formula) or odd_max_sat_ref(formula) is not odd:
                     mismatches.append(serialize(formula))
-            verdicts.append(reference_verdict(formula))
-            if machine_verdict(formula) != verdicts[-1]:
+            verdicts.append(odd_max_sat_ref(formula))
+            if decide_oddmaxsat(formula) != verdicts[-1]:
                 mismatches.append(serialize(formula))
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 40

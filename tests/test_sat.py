@@ -31,6 +31,7 @@ from oddmax.formula import (
     serialize,
     substitute,
 )
+from oddmax.machine import decide_oddmaxsat
 from oddmax.sat import (
     BLOCK_VARS,
     BRUTEFORCE_BOUND,
@@ -578,17 +579,18 @@ class TestOddMaxSatRef:
     def test_rejects_unsat(self):
         assert odd_max_sat_ref(parse("(x1&!x1)")) is False
 
-    def test_constant_formula_is_an_error(self):
-        with pytest.raises(ValueError):
-            odd_max_sat_ref(parse("1"))
+    def test_constant_formulas_are_rejected(self):
+        # No x_n to be true: the reference rejects, as the machine does.
+        for text in ("1", "0", "!(0&1)"):
+            formula = parse(text)
+            assert odd_max_sat_ref(formula) is False
+            assert odd_max_sat_ref(formula) == decide_oddmaxsat(formula)
 
     def test_matches_direct_enumeration(self):
         for seed in range(500):
             formula = random_formula(seed, n=6, size=20)
-            if num_vars(formula) == 0:
-                continue
-            witness = reference_lexmax(formula)
-            assert odd_max_sat_ref(formula) == (witness is not None and witness[-1])
+            witness = reference_lexmax(formula)  # () for a satisfiable constant
+            assert odd_max_sat_ref(formula) == (witness is not None and witness[-1:] == (True,))
 
 
 def assert_search(formula):
