@@ -1,8 +1,10 @@
 """Desk-scale SAT decision and lexicographically maximum satisfying assignments.
 
-One lex-max search, ``_top_model``, serves every n: it pins x_1..x_(n-20)
-depth-first and sweeps the last BRUTEFORCE_BOUND variables' truth table in
-blocks. :func:`sat_dpll` has no caller here; the tests check the search by it.
+One lex-max search, ``_top_model``, serves every n: up to BLOCK_VARS
+variables it sweeps one truth table, and above that it pins x_1..x_(n-16)
+depth-first with constant folding and sweeps one table of the last
+BLOCK_VARS variables at each leaf. :func:`sat_dpll` has no caller here; the
+tests check the search by it.
 
 The join oracle asks :func:`text_satisfiable`, which decides formula text
 without building an AST: up to BRUTEFORCE_BOUND distinct variables it folds
@@ -12,13 +14,11 @@ runs the lex-max search.
 The sweep and the fold take their variable columns from one cache, one
 column set per width (``_columns``). The sweep walks the left operand of
 "&" and "|" first and skips the right one when the left absorbs it (0 for
-"&", all-ones for "|"); inside a block the columns of the high variables
-are exactly those two values.
+"&", all-ones for "|").
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import lru_cache
 from operator import and_, or_
 
@@ -39,16 +39,18 @@ from .formula import (
     parse,
 )
 
-#: Largest variable count swept as a truth table (2^n assignments): the
-#: limit of sat_bruteforce and of each sweep in the lex-max search.
+#: Largest variable count sat_bruteforce accepts, and the most distinct
+#: variables text_satisfiable folds into one 2^m-bit truth table.
 BRUTEFORCE_BOUND = 20
-#: Variables per block of that sweep: 2^16-bit (8 KiB) tables, highest first.
+#: Variables in one table of the lex-max search: all of them up to 16, and
+#: the last 16 at each leaf above that (2^16-bit, 8 KiB tables).
 BLOCK_VARS = 16
 
 
 def sat_bruteforce(formula: Formula) -> bool:
-    """Truth-table satisfiability over all 2^n assignments, bit-parallel:
-    one bit per assignment of a block, ending at the first block with a model.
+    """Satisfiability by the lex-max search: one bit-parallel truth table
+    (one bit per assignment) up to BLOCK_VARS variables, and above that one
+    2^16-bit table per leaf of the pinning search, ending at the first model.
     """
     n = num_vars(formula)
     if n > BRUTEFORCE_BOUND:
@@ -56,49 +58,39 @@ def sat_bruteforce(formula: Formula) -> bool:
     return _top_model(formula, n) is not None
 
 
-def _blocks(formula: Formula, n: int, pinned: int = 0) -> Iterator[tuple[int, int]]:
-    # Yield (offset, table), highest first; bit a of table is the value at
-    # offset + a. The last `width` variables take _columns(width); those above
-    # them are 0 or all-ones per block, and x_1..x_pinned, assigned away, read 0.
-    width = min(n - pinned, BLOCK_VARS)
-    full, columns = _columns(width)
-    if n == width:
-        yield 0, _table(formula, columns, full)
-        return
-    fixed = (0,) * (pinned + 1)
-    low = columns[1:]
-    for block in range((1 << (n - pinned - width)) - 1, -1, -1):
-        high = [full if block >> shift & 1 else 0 for shift in range(n - pinned - width - 1, -1, -1)]
-        yield block << width, _table(formula, (*fixed, *high, *low), full)
-
-
 def _top_model(formula: Formula, n: int) -> int | None:
-    # Index of the lexicographically greatest model, or None if UNSAT. Past
-    # the bound, constants are folded and x_1..x_(n-20) pinned depth-first,
-    # true first: FALSE prunes, TRUE ends with ones, an x_i that _assign leaves
-    # unchanged takes only true, and each leaf sweeps the rest; first model wins.
-    if n <= BRUTEFORCE_BOUND:
-        for offset, table in _blocks(formula, n):
-            if table:
-                return offset + table.bit_length() - 1
-        return None
-    pinned = n - BRUTEFORCE_BOUND
+    # Index of the lexicographically greatest model, or None if UNSAT. Up to
+    # BLOCK_VARS it is one table's highest set bit. Above, constants are
+    # folded and x_1..x_(n-16) pinned depth-first, true first: FALSE prunes,
+    # TRUE ends with ones, an x_i that _assign leaves unchanged takes only
+    # true, and each leaf sweeps the last 16 variables; first model wins.
+    if n <= BLOCK_VARS:
+        full, columns = _columns(n)
+        table = _table(formula, columns, full)
+        return table.bit_length() - 1 if table else None
+    pinned = n - BLOCK_VARS
+    full, columns = _columns(BLOCK_VARS)
+    # x_1..x_pinned are assigned away before a leaf; their slots read 0.
+    leaf = (0,) * pinned + columns
     stack = [(_assign(formula, 0, TRUE), 0, 0)]
     while stack:
         formula, depth, prefix = stack.pop()
+        if depth < 0:  # x_(-depth)'s false branch, assigned only when reached
+            depth = -depth
+            formula = _assign(formula, depth, FALSE)
         if type(formula) is Const:
             if formula.value:
                 return (prefix + 1 << n - depth) - 1
             continue
         if depth == pinned:
-            for offset, table in _blocks(formula, n, pinned):
-                if table:
-                    return (prefix << BRUTEFORCE_BOUND) + offset + table.bit_length() - 1
+            table = _table(formula, leaf, full)
+            if table:
+                return (prefix << BLOCK_VARS) + table.bit_length() - 1
             continue
         depth += 1
         true = _assign(formula, depth, TRUE)
         if true is not formula:
-            stack.append((_assign(formula, depth, FALSE), depth, prefix << 1))
+            stack.append((formula, -depth, prefix << 1))
         stack.append((true, depth, prefix << 1 | 1))
     return None
 
@@ -150,8 +142,8 @@ def text_satisfiable(text: str) -> bool:
 @lru_cache(maxsize=None)
 def _columns(m: int) -> tuple[int, tuple[int, ...]]:
     # The all-ones mask over 2^m assignments and the column of x_i at index
-    # i (slot 0 unused): the package's one column cache, which the block
-    # sweep and the join's fold share.
+    # i (slot 0 unused): the package's one column cache, which the lex-max
+    # search and the join's fold share.
     return (1 << (1 << m)) - 1, (0, *(_var_column(m - i, m) for i in range(1, m + 1)))
 
 

@@ -290,10 +290,10 @@ def test_sat_backend_agreement():
 
 
 def test_block_sweep_agreement():
-    """Above one truth-table block, on 400 seeded formulas spanning exactly
+    """Above one truth table, on 400 seeded formulas spanning exactly
     n = 17..20 variables (200 random bodies and their negations): splitting
-    search equals the block sweep and the greedy lex-max equals the swept
-    one; zero disagreements; under 5 s."""
+    search equals sat_bruteforce's pinning search and the greedy lex-max
+    equals lexmax; zero disagreements; under 5 s."""
     start = time.perf_counter()
     batch = []
     for seed in range(200):
@@ -321,7 +321,7 @@ def test_hard_inputs_below_the_bound():
     """Threshold 3-CNF at n = 10..20, 20 formulas per n: the machine equals
     the reference (Theorem 1), swap-continuations is wrong on every accepted
     formula and swap-final-verdicts on every formula, and splitting search
-    equals the block sweep for n <= 14; zero mismatches; under 30 s."""
+    equals the truth-table sweep for n <= 14; zero mismatches; under 30 s."""
     start = time.perf_counter()
     batch = [threshold_cnf(seed, n) for n in range(10, 21) for seed in range(20)]
     texts = [serialize(f) for f in batch]

@@ -36,7 +36,6 @@ from oddmax.sat import (
     BLOCK_VARS,
     BRUTEFORCE_BOUND,
     _assign,
-    _blocks,
     _columns,
     _var_column,
     lexmax,
@@ -164,7 +163,7 @@ class TestBruteforce:
 
 def reference_truth_table(formula, n):
     """The single 2^n-bit table that sat_bruteforce and lexmax swept before
-    the table was split into blocks: bit a is the value at assignment a."""
+    the lex-max search split it: bit a is the value at assignment a."""
     full = (1 << (1 << n)) - 1
 
     def table(node):
@@ -188,16 +187,34 @@ def reference_witness(formula, n):
     return None if top < 0 else tuple(bool((top >> (n - 1 - k)) & 1) for k in range(n))
 
 
-def concatenated_blocks(formula, n):
-    """Every block of the sweep shifted to its offset and joined into one
-    integer; the offsets must descend and tile the 2^n assignments."""
-    offsets, table = [], 0
-    for offset, block in _blocks(formula, n):
-        offsets.append(offset)
-        table |= block << offset
-    width = min(n, BLOCK_VARS)
-    assert offsets == [b << width for b in range((1 << (n - width)) - 1, -1, -1)]
-    return table
+def single_table(formula, n):
+    """The search's own sweep at n <= BLOCK_VARS: one _table over _columns(n),
+    looked up on the module so that a wrapped _table sees the root call."""
+    assert n <= BLOCK_VARS
+    full, columns = _columns(n)
+    return oddmax.sat._table(formula, columns, full)
+
+
+def record_sweeps(monkeypatch, limit=2) -> list:
+    """Wrap _table so that each sweep, not each node it visits, appends the
+    formula swept, failing past `limit` sweeps; _table recurses through the
+    module global, so nested calls are told apart by their depth."""
+    sweeps, depth = [], 0
+    original = oddmax.sat._table
+
+    def recording(formula, columns, full):
+        nonlocal depth
+        if depth == 0:
+            sweeps.append(formula)
+            assert len(sweeps) <= limit, f"more than {limit} sweeps"
+        depth += 1
+        try:
+            return original(formula, columns, full)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(oddmax.sat, "_table", recording)
+    return sweeps
 
 
 def spanning(body, n):
@@ -218,8 +235,8 @@ def pin_high(n, block):
 
 def block_path_formulas(n):
     """Seeded formulas spanning n variables: random bodies and their
-    negations, UNSAT ones (every block swept), and above BLOCK_VARS ones
-    whose models all lie in the lowest block or in a middle block."""
+    negations, UNSAT ones, and above BLOCK_VARS ones whose models all lie
+    under the lowest pinned prefix of x_1..x_(n-16) or under a middle one."""
     formulas = []
     for seed in range(6):
         base = random_formula(seed, n=n, size=25)
@@ -233,16 +250,17 @@ def block_path_formulas(n):
 
 
 class TestBlocks:
-    """The block sweep against the single-table reference it replaced."""
+    """The lex-max search, one table per leaf, against the single table."""
 
-    @pytest.mark.parametrize("n", [16, 17, 18, 20])
+    @pytest.mark.parametrize("n", [16, 17, 18, 19, 20])
     def test_block_sweep_equals_the_single_table(self, n):
         outcomes = set()
         for formula in block_path_formulas(n):
             assert num_vars(formula) == n
             table = reference_truth_table(formula, n)
             witness = reference_witness(formula, n)
-            assert concatenated_blocks(formula, n) == table, serialize(formula)
+            if n <= BLOCK_VARS:
+                assert single_table(formula, n) == table, serialize(formula)
             assert sat_bruteforce(formula) is (table != 0), serialize(formula)
             assert lexmax(formula) == witness, serialize(formula)
             outcomes.add(None if witness is None else witness[: n - BLOCK_VARS])
@@ -262,36 +280,23 @@ class TestBlocks:
             assert sat_bruteforce(formula) is True
             assert lexmax(formula) == reference_witness(formula, 20)
 
-    def record_blocks(self, monkeypatch) -> list:
-        offsets = []
-        original = oddmax.sat._blocks
-
-        def recording(*args):
-            for offset, table in original(*args):
-                offsets.append(offset)
-                yield offset, table
-
-        monkeypatch.setattr(oddmax.sat, "_blocks", recording)
-        return offsets
-
-    def test_first_block_with_a_model_ends_the_sweep(self, monkeypatch):
-        offsets = self.record_blocks(monkeypatch)
+    def test_first_leaf_with_a_model_ends_the_search(self, monkeypatch):
+        # x1 = 1 leaves x20; x2..x4 are absent, so one leaf sweeps it.
+        sweeps = record_sweeps(monkeypatch)
         formula = parse("(x1&x20)")
         assert sat_bruteforce(formula) is True
-        assert offsets == [15 << BLOCK_VARS]
-        offsets.clear()
+        assert sweeps == [Var(20)]
+        sweeps.clear()
         assert lexmax(formula) == (True,) * 20
-        assert offsets == [15 << BLOCK_VARS]
+        assert sweeps == [Var(20)]
 
-    def test_unsat_sweeps_all_sixteen_blocks(self, monkeypatch):
-        offsets = self.record_blocks(monkeypatch)
+    def test_pins_that_fold_to_false_sweep_no_leaf(self, monkeypatch):
+        # Both values of x1 fold the formula to FALSE: no leaf is reached.
+        sweeps = record_sweeps(monkeypatch)
         formula = parse("((x1&!x1)&x20)")
-        every_block = [block << BLOCK_VARS for block in range(15, -1, -1)]
         assert sat_bruteforce(formula) is False
-        assert offsets == every_block
-        offsets.clear()
         assert lexmax(formula) is None
-        assert offsets == every_block
+        assert sweeps == []
 
 
 class TestColumns:
@@ -344,7 +349,6 @@ class TestAbsorbingOperands:
             assert num_vars(formula) == n
             table = reference_truth_table(formula, n)
             witness = reference_witness(formula, n)
-            assert concatenated_blocks(formula, n) == table, serialize(formula)
             assert sat_bruteforce(formula) is (table != 0), serialize(formula)
             assert lexmax(formula) == witness, serialize(formula)
             outcomes.add(witness is None)
@@ -360,22 +364,23 @@ class TestAbsorbingOperands:
 
         # _table recurses through the module global, so every node visit counts.
         monkeypatch.setattr(oddmax.sat, "_table", counting)
-        # Two blocks at n = 17: x1 all-ones in the first, 0 in the second.
-        cases = [(And(Var(1), Or(Var(2), Var(17))), [5, 2]),
-                 (Or(Var(1), And(Var(2), Var(17))), [2, 5])]
-        for formula, per_block in cases:
-            counts = []
-            for _ in _blocks(formula, 17):
-                counts.append(len(walked))
-                walked.clear()
-            assert counts == per_block, serialize(formula)
+        # A literal 0 absorbs "&" and a literal 1 absorbs "|": two visits.
+        # The other constant leaves the right operand to be walked: five.
+        right = {And: Or(Var(2), Var(3)), Or: And(Var(2), Var(3))}
+        cases = [(And, False, 2), (And, True, 5), (Or, True, 2), (Or, False, 5)]
+        for kind, value, visits in cases:
+            formula = kind(Const(value), right[kind])
+            walked.clear()
+            single_table(formula, 3)
+            assert len(walked) == visits, serialize(formula)
 
     @settings(deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, BRUTEFORCE_BOUND))
     def test_random_formulas_equal_the_single_table(self, seed, n):
         formula = spanning(random_formula(seed, n=n, size=25), n)
         table = reference_truth_table(formula, n)
-        assert concatenated_blocks(formula, n) == table
+        if n <= BLOCK_VARS:
+            assert single_table(formula, n) == table
         assert sat_bruteforce(formula) is (table != 0)
         assert lexmax(formula) == reference_witness(formula, n)
 
@@ -398,7 +403,7 @@ class TestTruthTable:
             n = num_vars(formula)
             assert n <= 8
             expected = self.expected_table(formula, n)
-            assert concatenated_blocks(formula, n) == expected, serialize(formula)
+            assert single_table(formula, n) == expected, serialize(formula)
 
 
 def reference_text_sat(text):
@@ -543,7 +548,8 @@ class TestLexmax:
 
     @pytest.mark.parametrize("n", [BRUTEFORCE_BOUND, BRUTEFORCE_BOUND + 1])
     def test_regime_boundary(self, n):
-        # n = BRUTEFORCE_BOUND is one sweep; one more pins x_1 first.
+        # Both sides of sat_bruteforce's bound take the same search: it pins
+        # x_1..x_(n-16), so x_1..x_4 at n = 20 and x_1..x_5 at n = 21.
         assert lexmax(parse(f"(x1&!x{n})")) == (True,) * (n - 1) + (False,)
         assert lexmax(parse(f"((x1&!x1)&x{n})")) is None
 
@@ -604,7 +610,7 @@ def assert_search(formula):
 
 
 class TestSearchAboveTheBound:
-    """The lex-max search's pinning of x_1..x_(n-20), rule by rule."""
+    """The lex-max search's pinning of x_1..x_(n-16), rule by rule."""
 
     @pytest.mark.parametrize("text, n", [("(x1&x30)", 30), ("x25", 25)])
     def test_gapped_formulas_are_all_true(self, text, n):
@@ -625,21 +631,13 @@ class TestSearchAboveTheBound:
     @pytest.mark.parametrize("text", ["((x1&x100)&!x100)", "((1&x100)&!x100)"])
     def test_absent_variables_take_only_the_true_branch(self, text, monkeypatch):
         # x1 = 1, or the folded constant, leaves (x100&!x100), free of
-        # x2..x80: one sweep per search. Branching on an absent variable
-        # would repeat it, up to 2^79 times.
-        sweeps = []
-        original = oddmax.sat._blocks
-
-        def counting(*args):
-            sweeps.append(args[1:])
-            assert len(sweeps) <= 2, "an absent variable was branched on"
-            return original(*args)
-
-        monkeypatch.setattr(oddmax.sat, "_blocks", counting)
+        # x2..x84: one leaf sweep per search. Branching on an absent variable
+        # would repeat it, up to 2^83 times.
+        sweeps = record_sweeps(monkeypatch)
         start = time.perf_counter()
         assert assert_search(parse(text)) is None
         assert time.perf_counter() - start < 1
-        assert sweeps == [(100, 80)] * 2
+        assert sweeps == [And(Var(100), Not(Var(100)))] * 2
 
     @pytest.mark.parametrize("n", [21, 30, 50, 100])
     def test_random_bodies_and_their_negations(self, n):
