@@ -189,35 +189,16 @@ def _assign(formula: Formula, index: int, value: Const) -> Formula:
     return kind(left, right)
 
 
-def _min_var(formula: Formula) -> int:
-    # Lowest variable index, or 0 when the formula holds a constant.
-    kind = type(formula)
-    if kind is Var:
-        return formula.index
-    if kind is Const:
-        return 0
-    if kind is Not:
-        return _min_var(formula.child)
-    left = _min_var(formula.left)
-    right = _min_var(formula.right)
-    return left if left < right else right
-
-
 def sat_dpll(formula: Formula) -> bool:
-    """Satisfiability by splitting on the lowest-index live variable.
+    """Satisfiability by splitting on the highest-index live variable.
 
-    Works directly on the AST: propagate constants, then try the true
-    branch before the false branch. No variable-count bound.
+    Works directly on the AST: fold constants, then try the true branch
+    before the false branch. No variable-count bound.
     """
-    index = _min_var(formula)
-    if index == 0:  # only the caller's formula can hold unfolded constants
-        formula = _assign(formula, 0, TRUE)
-        if type(formula) is Const:
-            return formula.value
-        index = _min_var(formula)
-    return sat_dpll(_assign(formula, index, TRUE)) or sat_dpll(
-        _assign(formula, index, FALSE)
-    )
+    index = num_vars(formula)
+    if index == 0:
+        return _assign(formula, 0, TRUE).value
+    return sat_dpll(_assign(formula, index, TRUE)) or sat_dpll(_assign(formula, index, FALSE))
 
 
 def lexmax(formula: Formula) -> Assignment | None:

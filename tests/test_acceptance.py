@@ -319,7 +319,8 @@ def test_block_sweep_agreement():
 
 def test_hard_inputs_below_the_bound():
     """Threshold 3-CNF at n = 10..20, 20 formulas per n: the machine equals
-    the reference (Theorem 1), swap-continuations is wrong on every accepted
+    the reference (Theorem 1) with exactly one metered SAT call per join
+    query (Theorem 2), swap-continuations is wrong on every accepted
     formula and swap-final-verdicts on every formula, and splitting search
     equals the truth-table sweep for n <= 14; zero mismatches; under 30 s."""
     start = time.perf_counter()
@@ -327,7 +328,16 @@ def test_hard_inputs_below_the_bound():
     texts = [serialize(f) for f in batch]
     witnesses = [lexmax(f) for f in batch]
     verdicts = [odd_max_sat_ref(f) for f in batch]
-    mismatches = [t for f, t, v in zip(batch, texts, verdicts) if decide_oddmaxsat(f) != v]
+    # The standard machine runs on the join, metered per query (Theorem 2).
+    meter: list[bool] = []
+
+    def metered(query):
+        calls: list[str] = []
+        answer = sat_join_cosat(query, calls)
+        meter.append(calls == [query.body])
+        return answer
+
+    mismatches = [t for t, v in zip(texts, verdicts) if run_machine(t, metered).verdict != v]
     wrong = {
         name: [
             run_machine(t, sat_join_cosat, MUTANT_PROGRAMS[name]).verdict != v
@@ -335,22 +345,24 @@ def test_hard_inputs_below_the_bound():
         ]
         for name in ("swap-continuations", "swap-final-verdicts")
     }
-    # sat_dpll has no unit propagation: up to n = 14 this takes about 1 s,
-    # up to n = 20 about 11 s.
+    # sat_dpll has no unit propagation: on two cores with Python 3.11, up to
+    # n = 14 this takes 0.5-0.8 s, up to n = 20 7-9 s.
     backends = [f for f in batch if num_vars(f) <= 14]
     disagreements = [serialize(f) for f in backends if sat_dpll(f) != sat_bruteforce(f)]
     elapsed = time.perf_counter() - start
-    ok = not mismatches and not disagreements and elapsed < 30
+    ok = all(meter) and not mismatches and not disagreements and elapsed < 30
     report(
         "hard-inputs-below-the-bound",
         ok,
         f"(formulas={len(batch)} unsat={witnesses.count(None)} accepted={sum(verdicts)} "
+        f"queries={len(meter)} meter-violations={meter.count(False)} "
         f"mismatches={len(mismatches)} mutants-wrong={[sum(w) for w in wrong.values()]} "
         f"backends={len(backends)} disagreements={len(disagreements)} time={elapsed:.1f}s)",
     )
     # Hard inputs: UNSAT formulas, no all-true witness, both verdicts.
     assert witnesses.count(None) == 51 and not any(w and all(w) for w in witnesses)
     assert sum(verdicts) == 92
+    assert meter and all(meter)
     assert mismatches == []
     assert wrong["swap-continuations"] == verdicts and all(wrong["swap-final-verdicts"])
     assert len(backends) == 100 and disagreements == []
