@@ -12,17 +12,18 @@ universes are swept exhaustively over all 3^|U| nested mask pairs of
 `enumerate_subset_pairs`, against one table of 2^|U| verdicts filled by
 walking the compiled tree with `tree_verdict` once per mask; larger ones are
 sampled, every pair from one `subset_mask_draws` stream, each mask selecting
-its run with two integer ANDs per level (`_mask_verdict`). Neither check
-builds the query tree. Both return through one report builder (`_report`),
-the only place that builds Queries, frozensets and finite oracles: it
-replays a violating mask pair by two run_machine calls.
+its run with two integer ANDs per level, walked inline in the draw loop: S's
+run on every pair, T's run only when S's run accepts, since a pair whose S
+is rejected cannot violate. Neither check builds the query tree. Both
+return through one report builder (`_report`), the only place that builds
+Queries, frozensets and finite oracles: it replays a violating mask pair by
+two run_machine calls.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 from typing import Union
 
 from .formula import Formula, serialize
@@ -129,17 +130,6 @@ def _compile(formula: Formula, program: MachineProgram) -> tuple[str, list[str],
     return text, wires, expand_runs(text, program, mask_node)
 
 
-def _mask_verdict(node: MaskTree, mask: int) -> bool:
-    """`tree_verdict` of the compiled tree under the oracle whose members are `mask`."""
-    while type(node) is tuple:
-        bit0, bit1, fix_true, fix_false, accept_both, reject_both = node
-        if mask & bit0:
-            node = accept_both if mask & bit1 else fix_true
-        else:
-            node = fix_false if mask & bit1 else reject_both
-    return node
-
-
 def check_positivity_exhaustive(
     formula: Formula, program: MachineProgram = STANDARD_PROGRAM
 ) -> PositivityReport:
@@ -175,9 +165,27 @@ def check_positivity_sampled(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     text, wires, compiled = _compile(formula, program)
-    draws = islice(subset_mask_draws(len(wires), random.Random(seed)), samples)
-    for checked, (large, r) in enumerate(draws, 1):
+    draws = subset_mask_draws(len(wires), random.Random(seed))
+    # Both walks are inline, with no call per run. A pair whose S is rejected
+    # cannot violate, so T's run is walked only when S's run accepts.
+    for checked, (large, r) in zip(range(1, samples + 1), draws):
         small = large & r
-        if _mask_verdict(compiled, small) and not _mask_verdict(compiled, large):
+        node = compiled
+        while type(node) is tuple:
+            bit0, bit1, fix_true, fix_false, accept_both, reject_both = node
+            if small & bit0:
+                node = accept_both if small & bit1 else fix_true
+            else:
+                node = fix_false if small & bit1 else reject_both
+        if not node:
+            continue
+        node = compiled
+        while type(node) is tuple:
+            bit0, bit1, fix_true, fix_false, accept_both, reject_both = node
+            if large & bit0:
+                node = accept_both if large & bit1 else fix_true
+            else:
+                node = fix_false if large & bit1 else reject_both
+        if not node:
             return _report(text, wires, program, "sampled", checked, seed, (small, large))
     return _report(text, wires, program, "sampled", samples, seed)

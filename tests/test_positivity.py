@@ -28,7 +28,6 @@ from oddmax.machine import (
 from oddmax.oracle import SUBSET_PAIR_BOUND, FiniteOracle, Query, mask_subset, sorted_universe
 from oddmax.positivity import (
     _compile,
-    _mask_verdict,
     check_positivity_exhaustive,
     check_positivity_sampled,
 )
@@ -74,6 +73,37 @@ def reference_exhaustive(formula, program):
         if verdict(small) and not verdict(large):
             return checked, sorted(q.wire() for q in small), sorted(q.wire() for q in large)
     return checked, None, None
+
+
+def reference_path_violation(compiled):
+    """The exact path check over `_compile`'s mask tree, sharing no code with
+    either checker: (S, T) masks of a violation, or None. Each root-to-leaf
+    path is its (ones, zeros) masks, the bits its edges need in and out of the
+    oracle; a path that needs a bit both ways selects no oracle and is
+    dropped. A violation exists exactly when some accepting path A and some
+    rejecting path R have A.ones & R.zeros == 0: then S = A.ones follows A,
+    and T = A.ones | R.ones ⊇ S follows R."""
+    accepting, rejecting = [], []
+    stack = [(compiled, 0, 0)]
+    while stack:
+        node, ones, zeros = stack.pop()
+        if ones & zeros:
+            continue
+        if type(node) is not tuple:
+            (accepting if node else rejecting).append((ones, zeros))
+            continue
+        bit0, bit1, fix_true, fix_false, accept_both, reject_both = node
+        stack += [
+            (fix_true, ones | bit0, zeros | bit1),
+            (fix_false, ones | bit1, zeros | bit0),
+            (accept_both, ones | bit0 | bit1, zeros),
+            (reject_both, ones, zeros | bit0 | bit1),
+        ]
+    for a_ones, _ in accepting:
+        for r_ones, r_zeros in rejecting:
+            if not a_ones & r_zeros:
+                return a_ones, a_ones | r_ones
+    return None
 
 
 def reference_mask_tree(tree, bit):
@@ -174,6 +204,63 @@ class TestExhaustive:
         assert checked == 288
 
 
+def replay_masks(formula, program, wires, pair):
+    """The verdicts of two fresh machine runs under the finite oracles whose
+    members are the masks (small, large) over the sorted `wires`."""
+    elements = [Query.from_wire(wire) for wire in wires]
+    universe = frozenset(elements)
+    small, large = (
+        FiniteOracle(universe, frozenset(q for i, q in enumerate(elements) if mask >> i & 1))
+        for mask in pair
+    )
+    assert small.members <= large.members
+    text = serialize(formula)
+    return run_machine(text, small, program).verdict, run_machine(text, large, program).verdict
+
+
+class TestPathReference:
+    """The exact path check against the exhaustive sweep and the machine."""
+
+    def test_agrees_with_the_exhaustive_check(self, corpus):
+        texts = dict.fromkeys(TRICKY_TREE_TEXTS + SMALL_TREE_TEXTS)
+        formulas = [f for f in corpus if num_vars(f) <= 3] + [parse(text) for text in texts]
+        checked = violations = 0
+        for program in FAMILY:
+            for formula in formulas:
+                _, wires, compiled = _compile(formula, program)
+                if len(wires) > SUBSET_PAIR_BOUND:
+                    continue
+                witness = reference_path_violation(compiled)
+                report = check_positivity_exhaustive(formula, program=program)
+                assert (witness is None) == report.ok, (serialize(formula), program)
+                if witness is not None:
+                    assert replay_masks(formula, program, wires, witness) == (True, False)
+                    violations += 1
+                checked += 1
+        assert (checked, violations) == (3008, 1800)
+
+    @pytest.mark.parametrize(
+        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+        ids=["standard", *MUTANT_PROGRAMS],
+    )
+    def test_decides_every_curated_formula(self, program, corpus):
+        # Every curated formula, universes up to 510 queries: only the
+        # unanimous-verdict swap breaks monotonicity, on every formula with
+        # a variable.
+        violated = 0
+        for formula in corpus:
+            _, wires, compiled = _compile(formula, program)
+            witness = reference_path_violation(compiled)
+            if program is MUTANT_SWAP_UNANIMOUS and num_vars(formula) >= 1:
+                assert witness is not None, serialize(formula)
+                assert replay_masks(formula, program, wires, witness) == (True, False)
+                violated += 1
+            else:
+                assert witness is None, serialize(formula)
+        assert len(corpus) == 73
+        assert violated == (71 if program is MUTANT_SWAP_UNANIMOUS else 0)
+
+
 class TestExhaustiveCost:
     """The exhaustive check walks the tree once per oracle mask and builds
     frozensets only to replay a violation."""
@@ -251,6 +338,22 @@ class TestSampled:
                 )
                 expected = reference_sampled(formula, 60, seed, program)
                 assert got == expected, (serialize(formula), seed)
+        if program is not STANDARD_PROGRAM:
+            return
+        # The family holds every program above; one case sweeps it on the
+        # gapped texts, so that both runs of a pair are walked under every table.
+        violations = 0
+        for family_program in FAMILY:
+            for text in SMALL_TREE_TEXTS:
+                formula = parse(text)
+                for seed in (0, 1, 2):
+                    report = check_positivity_sampled(
+                        formula, samples=60, seed=seed, program=family_program
+                    )
+                    expected = reference_sampled(formula, 60, seed, family_program)
+                    assert outcome(report) == expected, (text, seed, family_program)
+                    violations += not report.ok
+        assert violations == 560  # of 960 checks
 
 
 def identity_formulas(corpus):
@@ -260,7 +363,7 @@ def identity_formulas(corpus):
 
 
 class TestMaskTree:
-    """The sampled check's compiled walk against `tree_verdict`."""
+    """The compiled mask tree against the query tree."""
 
     @pytest.mark.parametrize(
         "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
@@ -278,7 +381,6 @@ class TestMaskTree:
             compiled = _compile(formula, program)[2]
             for mask in range(1 << len(elements)):
                 expected = tree_verdict(tree, mask_subset(elements, mask).__contains__)
-                assert _mask_verdict(compiled, mask) == expected, (serialize(formula), mask)
                 assert tree_verdict(compiled, mask.__and__) == expected, (serialize(formula), mask)
                 checked += 1
         assert checked > 4000
