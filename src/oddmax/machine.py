@@ -144,9 +144,6 @@ class Transcript:
     iterations: tuple[Iteration, ...]
     verdict: bool
 
-    def query_count(self) -> int:
-        return 2 * len(self.iterations)
-
     def to_json(self) -> dict:
         return {
             "input": self.input,

@@ -6,7 +6,7 @@ Wire format: the canonical serialization of a formula body immediately
 followed by a single tag character, '0' or '1', with no delimiter. Tag '0'
 routes a query to the left component of a join, tag '1' to the right.
 
-Subsets of a finite universe are bit masks over `sorted_universe`: bit i
+Subsets of a finite universe are bit masks over it sorted by wire: bit i
 stands for element i. The exhaustive sweep enumerates nested mask pairs
 (`enumerate_subset_pairs`), sampling draws them (`subset_mask_draws`), and
 `mask_subset` turns a mask back into a frozenset of queries.
@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import or_
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 # `parse` is not called here, but stays bound: the benchmark's tracer tests
 # look the layer up by the name oddmax.oracle.parse.
@@ -74,7 +74,7 @@ def _body_sat(body: str) -> bool | None:
     Both tags of a body share this one answer, so a machine iteration costs
     one pass over the body's tokens (text_satisfiable), at any nesting depth.
     Only a body with more than BRUTEFORCE_BOUND distinct variables is parsed
-    and given to the lex-max search, whose num_vars and _assign recurse;
+    and given to sat_bruteforce, whose num_vars and _assign recurse;
     exceptions from that fallback (deep input) propagate uncached.
     """
     try:
@@ -116,11 +116,6 @@ class FiniteOracle:
 
     def __call__(self, query: Query) -> bool:
         return query in self.members
-
-
-def sorted_universe(universe: Iterable[Query]) -> tuple[Query, ...]:
-    """Canonical element order (by wire string) for deterministic sweeps."""
-    return tuple(sorted(universe, key=Query.wire))
 
 
 def mask_subset(elements: Sequence[Query], mask: int) -> frozenset[Query]:
@@ -183,6 +178,6 @@ def sample_subset_pair(
     streams of draws; either way the result is deterministic."""
     if isinstance(rng, int):
         rng = random.Random(rng)
-    elements = sorted_universe(universe)
+    elements = sorted(universe, key=Query.wire)
     large, r = next(subset_mask_draws(len(elements), rng))
     return mask_subset(elements, large & r), mask_subset(elements, large)

@@ -1,15 +1,15 @@
 """Desk-scale SAT decision and lexicographically maximum satisfying assignments.
 
-One lex-max search, ``_top_model``, serves every n: up to BLOCK_VARS
-variables it sweeps one truth table, and above that it pins x_1..x_(n-16)
-depth-first with constant folding and sweeps one table of the last
-BLOCK_VARS variables at each leaf. :func:`sat_dpll` has no caller here; the
-tests check the search by it.
+One lex-max search, ``_top_model``, serves every n, with no variable limit,
+for sat_bruteforce, lexmax and odd_max_sat_ref. Up to BLOCK_VARS variables
+it sweeps one truth table, and above that it pins x_1..x_(n-16) depth-first
+with constant folding and sweeps one table of the last BLOCK_VARS variables
+at each leaf. The tests check it by :func:`sat_dpll`, which nothing here calls.
 
 The join oracle asks :func:`text_satisfiable`, which decides formula text
 without building an AST: up to BRUTEFORCE_BOUND distinct variables it folds
 truth-table columns in the parse loop itself, and above that it parses and
-runs the lex-max search.
+calls :func:`sat_bruteforce`.
 
 The sweep and the fold take their variable columns from one cache, one
 column set per width (``_columns``). The sweep walks the left operand of
@@ -39,8 +39,7 @@ from .formula import (
     parse,
 )
 
-#: Largest variable count sat_bruteforce accepts, and the most distinct
-#: variables text_satisfiable folds into one 2^m-bit truth table.
+#: Most distinct variables text_satisfiable folds into one 2^m-bit table.
 BRUTEFORCE_BOUND = 20
 #: Variables in one table of the lex-max search: all of them up to 16, and
 #: the last 16 at each leaf above that (2^16-bit, 8 KiB tables).
@@ -48,14 +47,12 @@ BLOCK_VARS = 16
 
 
 def sat_bruteforce(formula: Formula) -> bool:
-    """Satisfiability by the lex-max search: one bit-parallel truth table
-    (one bit per assignment) up to BLOCK_VARS variables, and above that one
-    2^16-bit table per leaf of the pinning search, ending at the first model.
+    """Satisfiability by the lex-max search, with no variable limit: one
+    bit-parallel truth table (one bit per assignment) up to BLOCK_VARS
+    variables, and above that one 2^16-bit table per leaf of the pinning
+    search, ending at the first model.
     """
-    n = num_vars(formula)
-    if n > BRUTEFORCE_BOUND:
-        raise ValueError(f"formula has {n} variables, exceeding the bound {BRUTEFORCE_BOUND}")
-    return _top_model(formula, n) is not None
+    return _top_model(formula, num_vars(formula)) is not None
 
 
 def _top_model(formula: Formula, n: int) -> int | None:
@@ -124,14 +121,13 @@ def text_satisfiable(text: str) -> bool:
     renaming, so satisfiability is unchanged), with no AST and no
     recursion. The fold reads parse's tokens, takes the m cached columns as
     its leaves and combines them with operator's C-level `and_` and `or_`.
-    Above the bound the text is parsed and decided by the lex-max search.
+    Above the bound the text is parsed and decided by sat_bruteforce.
     """
     tokens = _tokens(text)
     names = _VARIABLE_NAMES.intersection(tokens)
     m = len(names)
     if m > BRUTEFORCE_BOUND:
-        formula = parse(text)
-        return _top_model(formula, num_vars(formula)) is not None
+        return sat_bruteforce(parse(text))
     full, columns = _columns(m)
     leaves = dict(zip(names, columns[1:]))
     leaves["0"] = 0

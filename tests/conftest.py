@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import re
 from itertools import product
-from typing import Callable, Collection, Union
+from typing import Callable, Collection, Iterable, Union
 
 import pytest
 from hypothesis import strategies as st
@@ -154,6 +154,11 @@ def reachable_query_wires(
         if i < n:
             frontier.extend((substitute(current, i, value), i + 1) for value in values)
     return wires
+
+
+def sorted_universe(universe: Iterable[Query]) -> tuple[Query, ...]:
+    """Canonical element order (by wire string) for deterministic sweeps."""
+    return tuple(sorted(universe, key=Query.wire))
 
 
 def tree_queries(tree) -> frozenset:

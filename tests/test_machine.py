@@ -96,7 +96,7 @@ class TestRunMachine:
             IterationCase.FIX_TRUE,
             IterationCase.FIX_FALSE,
         ]
-        assert transcript.query_count() == 4
+        assert len(transcript.iterations) == 2
 
     def test_queries_share_body_with_tags_in_order(self):
         transcript = run_machine("(x1&(x2&x3))", sat_join_cosat)
@@ -329,7 +329,7 @@ class TestBodyMemo:
         text = "((x1|x2)&(!x1|!x3))"
         cold = run_machine(text, sat_join_cosat)
         k = len(cold.iterations)
-        assert k == 3 and cold.query_count() == 2 * k
+        assert k == 3
         assert len(solved) == k
         warm = run_machine(text, sat_join_cosat)
         assert len(solved) == k

@@ -7,7 +7,7 @@ from itertools import islice, product
 
 import pytest
 
-from conftest import join_membership, reference_join
+from conftest import join_membership, reference_join, sorted_universe
 from oddmax.formula import num_vars, parse
 from oddmax.machine import query_universe
 from oddmax.oracle import (
@@ -19,7 +19,6 @@ from oddmax.oracle import (
     mask_subset,
     sample_subset_pair,
     sat_join_cosat,
-    sorted_universe,
     subset_mask_draws,
     subset_pair_rank,
 )

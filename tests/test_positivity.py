@@ -9,7 +9,7 @@ import pytest
 
 import oddmax.machine
 import oddmax.positivity
-from conftest import FAMILY, SMALL_TREE_TEXTS, TRICKY_TREE_TEXTS, tree_queries
+from conftest import FAMILY, SMALL_TREE_TEXTS, TRICKY_TREE_TEXTS, sorted_universe, tree_queries
 from oddmax.formula import num_vars, parse, serialize
 from oddmax.machine import (
     IterationCase,
@@ -25,7 +25,7 @@ from oddmax.machine import (
     run_machine,
     tree_verdict,
 )
-from oddmax.oracle import SUBSET_PAIR_BOUND, FiniteOracle, Query, mask_subset, sorted_universe
+from oddmax.oracle import SUBSET_PAIR_BOUND, FiniteOracle, Query, mask_subset
 from oddmax.positivity import (
     _compile,
     check_positivity_exhaustive,

@@ -131,9 +131,18 @@ class TestBruteforce:
         assert satisfying_assignments(formula) == [(True, False), (False, True)]
         assert sat_bruteforce(formula) is True
 
-    def test_bound_exceeded(self):
-        with pytest.raises(ValueError):
-            sat_bruteforce(parse("(x1&x21)"))
+    def test_answers_above_twenty_variables(self):
+        assert sat_bruteforce(parse("(x1&x21)")) is True
+        assert sat_bruteforce(parse("((x1&!x1)&x30)")) is False
+        assert sat_bruteforce(parse("(!x1&x100)")) is True
+        for n in range(21, 31):
+            for seed in range(5):
+                base = random_formula(seed, n=n, size=25)
+                for body in (base, Not(base)):
+                    formula = spanning(body, n)
+                    expected = sat_dpll(formula)
+                    assert sat_bruteforce(formula) is expected
+                    assert (lexmax(formula) is not None) is expected
 
     def test_agrees_with_direct_sweep(self):
         for seed in range(2000):
@@ -436,6 +445,19 @@ class TestTextSatisfiable:
                 assert text_satisfiable(text) is sat_bruteforce(body), text
         assert len(parsed) == 20
 
+    def test_more_than_the_bound_calls_sat_bruteforce_once(self, monkeypatch):
+        calls = []
+        original = oddmax.sat.sat_bruteforce
+
+        def counting(formula):
+            calls.append(formula)
+            return original(formula)
+
+        monkeypatch.setattr(oddmax.sat, "sat_bruteforce", counting)
+        text = "&".join(f"(x{i}|!x{i})" for i in range(1, BRUTEFORCE_BOUND + 2))
+        assert text_satisfiable(f"({text})") is True
+        assert len(calls) == 1
+
     @given(any_text)
     def test_any_text(self, text):
         self.assert_matches([text])
@@ -528,7 +550,7 @@ class TestLexmax:
 
     @pytest.mark.parametrize("n", [BRUTEFORCE_BOUND, BRUTEFORCE_BOUND + 1])
     def test_regime_boundary(self, n):
-        # Both sides of sat_bruteforce's bound take the same search: it pins
+        # Both sides of 20 variables take the same search: it pins
         # x_1..x_(n-16), so x_1..x_4 at n = 20 and x_1..x_5 at n = 21.
         assert lexmax(parse(f"(x1&!x{n})")) == (True,) * (n - 1) + (False,)
         assert lexmax(parse(f"((x1&!x1)&x{n})")) is None
