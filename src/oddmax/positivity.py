@@ -5,19 +5,20 @@ The check quantifies over subsets of the reachable query universe rather
 than over all strings; a run's verdict only ever consults queries from that
 universe, so the restriction loses nothing (the test suite pins this down).
 Both checks start from one compile (`_compile`) of two expansions of the
-runs: the first gathers the asked bodies (`query_bodies`), whose wires are
-sorted, bit i standing for the i-th sorted wire; the second builds the one
-node layout over those bits (`expand_runs` with a mask-node builder). Small
-universes are swept exhaustively over all 3^|U| nested mask pairs of
-`enumerate_subset_pairs`, against one table of 2^|U| verdicts filled by
-walking the compiled tree with `tree_verdict` once per mask; larger ones are
-sampled, every pair from one `subset_mask_draws` stream, each mask selecting
-its run with two integer ANDs per level, walked inline in the draw loop: S's
-run on every pair, T's run only when S's run accepts, since a pair whose S
-is rejected cannot violate. Neither check builds the query tree. Both
-return through one report builder (`_report`), the only place that builds
-Queries, frozensets and finite oracles: it replays a violating mask pair by
-two run_machine calls.
+runs: the first gathers the asked bodies (`query_bodies`), sorted once, body
+r owning bits 2r and 2r+1 (its two wires' places in sorted order); the
+second builds the one node layout over those bits (`expand_runs` with a
+mask-node builder). Small universes are swept exhaustively over all 3^|U|
+nested mask pairs of `enumerate_subset_pairs`, against one table of 2^|U|
+verdicts filled by walking the compiled tree with `tree_verdict` once per
+mask; larger ones are sampled, every pair from one `subset_mask_draws`
+stream, each mask selecting its run with two integer ANDs per level, the
+root's from locals and the rest walked inline in the draw loop: S's run on
+every pair, T's run only when S's run accepts, since a pair whose S is
+rejected cannot violate. Neither check builds the query tree. Both return
+through one report builder (`_report`), the only place that builds Queries,
+frozensets and finite oracles: it replays a violating mask pair by two
+run_machine calls.
 """
 
 from __future__ import annotations
@@ -119,13 +120,19 @@ MaskTree = Union[tuple, bool]
 
 def _compile(formula: Formula, program: MachineProgram) -> tuple[str, list[str], MaskTree]:
     """The report text, the universe's sorted wires, and the mask tree over
-    them. Raises ValueError past TREE_BOUND."""
+    them. Raises ValueError past TREE_BOUND.
+
+    Body r of the sorted bodies gets bits 2r and 2r+1: bodies of one text
+    differ only in what is written over its variable tokens (0, 1 or the
+    variable), whose first characters differ, so no body is a proper prefix
+    of another and the sorted wires are body+"0", body+"1" in body order."""
     text = serialize(formula)
-    wires = sorted(body + tag for body in query_bodies(text, program) for tag in TAGS)
-    bit = {wire: 1 << i for i, wire in enumerate(wires)}
+    bodies = sorted(query_bodies(text, program))
+    wires = [body + tag for body in bodies for tag in TAGS]
+    bits = {body: (1 << 2 * r, 2 << 2 * r) for r, body in enumerate(bodies)}
 
     def mask_node(i: int, text: str, body: str, children: list) -> tuple:
-        return (bit[body + "0"], bit[body + "1"], *children)
+        return (*bits[body], *children)
 
     return text, wires, expand_runs(text, program, mask_node)
 
@@ -165,12 +172,19 @@ def check_positivity_sampled(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     text, wires, compiled = _compile(formula, program)
+    if type(compiled) is bool:  # no variables: every run ends on this verdict
+        return _report(text, wires, program, "sampled", samples, seed)
+    # The root's fields are locals, so each run's first level is two ANDs;
+    # deeper levels are walked inline, with no call per run. A pair whose S
+    # is rejected cannot violate, so T's run is walked only when S's accepts.
+    root0, root1, root_true, root_false, root_both, root_neither = compiled
     draws = subset_mask_draws(len(wires), random.Random(seed))
-    # Both walks are inline, with no call per run. A pair whose S is rejected
-    # cannot violate, so T's run is walked only when S's run accepts.
     for checked, (large, r) in zip(range(1, samples + 1), draws):
         small = large & r
-        node = compiled
+        if small & root0:
+            node = root_both if small & root1 else root_true
+        else:
+            node = root_false if small & root1 else root_neither
         while type(node) is tuple:
             bit0, bit1, fix_true, fix_false, accept_both, reject_both = node
             if small & bit0:
@@ -179,7 +193,10 @@ def check_positivity_sampled(
                 node = fix_false if small & bit1 else reject_both
         if not node:
             continue
-        node = compiled
+        if large & root0:
+            node = root_both if large & root1 else root_true
+        else:
+            node = root_false if large & root1 else root_neither
         while type(node) is tuple:
             bit0, bit1, fix_true, fix_false, accept_both, reject_both = node
             if large & bit0:

@@ -4,7 +4,9 @@ One lex-max search, ``_top_model``, serves every n, with no variable limit,
 for sat_bruteforce, lexmax and odd_max_sat_ref. Up to BLOCK_VARS variables
 it sweeps one truth table, and above that it pins x_1..x_(n-16) depth-first
 with constant folding and sweeps one table of the last BLOCK_VARS variables
-at each leaf. The tests check it by :func:`sat_dpll`, which nothing here calls.
+at each leaf. The tests check it by :func:`sat_dpll`, which nothing here
+calls: a splitting search that first pins the literals among the top-level
+conjuncts (the unit rule) and then splits on the highest live variable.
 
 The join oracle asks :func:`text_satisfiable`, which decides formula text
 without building an AST: up to BRUTEFORCE_BOUND distinct variables it folds
@@ -186,15 +188,41 @@ def _assign(formula: Formula, index: int, value: Const) -> Formula:
 
 
 def sat_dpll(formula: Formula) -> bool:
-    """Satisfiability by splitting on the highest-index live variable.
+    """Satisfiability by the unit rule, then splitting on the highest-index
+    live variable.
 
-    Works directly on the AST: fold constants, then try the true branch
-    before the false branch. No variable-count bound.
+    Works directly on the AST. While the formula is an And, a literal that
+    is a conjunct of its top-level "&" spine is forced: _assign makes it
+    true and folds constants (the unit rule of Davis, Logemann and Loveland,
+    CACM 1962). Then the search splits on x_num_vars, the true branch before
+    the false one. No variable-count bound.
     """
+    while type(formula) is And:
+        forced = _spine_literal(formula)
+        if forced is None:
+            break
+        formula = _assign(formula, *forced)
     index = num_vars(formula)
     if index == 0:
         return _assign(formula, 0, TRUE).value
     return sat_dpll(_assign(formula, index, TRUE)) or sat_dpll(_assign(formula, index, FALSE))
+
+
+def _spine_literal(formula: And) -> tuple[int, Const] | None:
+    # The leftmost literal among the conjuncts of the "&" spine, as the pin
+    # (index, value) that makes it true; None if no conjunct is a literal.
+    # The spine is walked with an explicit stack, left conjunct first.
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is And:
+            stack += (node.right, node.left)
+        elif kind is Var:
+            return node.index, TRUE
+        elif kind is Not and type(node.child) is Var:
+            return node.child.index, FALSE
+    return None
 
 
 def lexmax(formula: Formula) -> Assignment | None:

@@ -6,10 +6,12 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 import oddmax.machine
 import oddmax.positivity
 from conftest import FAMILY, SMALL_TREE_TEXTS, TRICKY_TREE_TEXTS, sorted_universe, tree_queries
+from test_formula import formulas
 from oddmax.formula import num_vars, parse, serialize
 from oddmax.machine import (
     IterationCase,
@@ -31,6 +33,18 @@ from oddmax.positivity import (
     check_positivity_exhaustive,
     check_positivity_sampled,
 )
+
+
+#: The standard program and the three mutants.
+FOUR_PROGRAMS = pytest.mark.parametrize(
+    "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+    ids=["standard", *MUTANT_PROGRAMS],
+)
+
+#: Roots of every kind: bare verdicts (no variables), one variable under
+#: either sign, a variable reached after two iterations that pin nothing,
+#: and a repeated variable.
+ROOT_EDGE_TEXTS = ["1", "(!1|0)", "x1", "!x1", "x3", "(x1|!x1)"]
 
 
 def reference_sampled(formula, samples, seed, program):
@@ -173,10 +187,7 @@ class TestExhaustive:
                 continue
             assert check_positivity_exhaustive(formula).ok, serialize(formula)
 
-    @pytest.mark.parametrize(
-        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
-        ids=["standard", *MUTANT_PROGRAMS],
-    )
+    @FOUR_PROGRAMS
     def test_equals_the_frozenset_reference(self, program, corpus):
         checked = 0
         for formula in corpus:
@@ -239,10 +250,7 @@ class TestPathReference:
                 checked += 1
         assert (checked, violations) == (3008, 1800)
 
-    @pytest.mark.parametrize(
-        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
-        ids=["standard", *MUTANT_PROGRAMS],
-    )
+    @FOUR_PROGRAMS
     def test_decides_every_curated_formula(self, program, corpus):
         # Every curated formula, universes up to 510 queries: only the
         # unanimous-verdict swap breaks monotonicity, on every formula with
@@ -320,10 +328,7 @@ class TestSampled:
         with pytest.raises(ValueError, match="samples"):
             check_positivity_sampled(parse("x1"), samples=samples)
 
-    @pytest.mark.parametrize(
-        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
-        ids=["standard", *MUTANT_PROGRAMS],
-    )
+    @FOUR_PROGRAMS
     def test_equals_the_frozenset_reference(self, program, corpus):
         for formula in corpus:
             if num_vars(formula) > 6:
@@ -338,6 +343,14 @@ class TestSampled:
                 )
                 expected = reference_sampled(formula, 60, seed, program)
                 assert got == expected, (serialize(formula), seed)
+        for text in ROOT_EDGE_TEXTS:
+            formula = parse(text)
+            for seed in (0, 1, 2):
+                for samples in (1, 60):
+                    report = check_positivity_sampled(formula, samples, seed, program)
+                    expected = reference_sampled(formula, samples, seed, program)
+                    assert outcome(report) == expected, (text, seed, samples)
+                    assert (report.mode, report.seed) == ("sampled", seed), text
         if program is not STANDARD_PROGRAM:
             return
         # The family holds every program above; one case sweeps it on the
@@ -365,10 +378,7 @@ def identity_formulas(corpus):
 class TestMaskTree:
     """The compiled mask tree against the query tree."""
 
-    @pytest.mark.parametrize(
-        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
-        ids=["standard", *MUTANT_PROGRAMS],
-    )
+    @FOUR_PROGRAMS
     def test_agrees_with_tree_verdict_on_every_mask(self, program, corpus):
         checked = 0
         for formula in corpus:
@@ -397,6 +407,20 @@ class TestMaskTree:
             bit = {q: 1 << i for i, q in enumerate(elements)}
             assert compiled == reference_mask_tree(tree, bit), serialize(formula)
             assert query_universe(formula, program) == universe, serialize(formula)
+
+    @FOUR_PROGRAMS
+    @settings(max_examples=60, deadline=None)
+    @given(formula=formulas)
+    def test_compile_equals_the_query_tree_reference_on_random_formulas(self, program, formula):
+        tree = build_query_tree(formula, program)
+        elements = sorted_universe(tree_queries(tree))
+        _, wires, compiled = _compile(formula, program)
+        assert wires == [q.wire() for q in elements]
+        bit = {q: 1 << i for i, q in enumerate(elements)}
+        assert compiled == reference_mask_tree(tree, bit)
+        # The rank bits rest on this: no body is a proper prefix of another.
+        bodies = {q.body for q in elements}
+        assert not [(a, b) for a in bodies for b in bodies if a != b and b.startswith(a)]
 
     def count_calls(self, monkeypatch, module, name) -> list:
         calls = []

@@ -89,6 +89,44 @@ def reference_dpll(formula, calls):
     )
 
 
+def reference_unit_dpll(formula, calls):
+    """sat_dpll's rule in the three walks, recursive where it is iterative:
+    while the formula is an And, make the leftmost literal among the
+    conjuncts of its "&" spine true, then split as reference_dpll does;
+    appends one entry to `calls` per call."""
+    calls.append(formula)
+    while isinstance(formula, And):
+        literal = next((c for c in conjuncts(formula) if is_literal(c)), None)
+        if literal is None:
+            break
+        if isinstance(literal, Var):
+            formula = _fold_constants(substitute(formula, literal.index, True))
+        else:
+            formula = _fold_constants(substitute(formula, literal.child.index, False))
+    index = reference_num_vars(formula)
+    if index == 0:
+        return _fold_constants(formula).value
+    return any(
+        reference_unit_dpll(_fold_constants(substitute(formula, index, value)), calls)
+        for value in (True, False)
+    )
+
+
+def conjuncts(formula):
+    """The conjuncts of the top-level "&" spine, left to right."""
+    if isinstance(formula, And):
+        yield from conjuncts(formula.left)
+        yield from conjuncts(formula.right)
+    else:
+        yield formula
+
+
+def is_literal(formula):
+    return isinstance(formula, Var) or (
+        isinstance(formula, Not) and isinstance(formula.child, Var)
+    )
+
+
 def dpll_samples():
     """2000 seeded formulas on 1..12 variables (some hold constants)."""
     for seed in range(2000):
@@ -490,9 +528,12 @@ class TestDpll:
         # sat_dpll recurses through the module global, so every branch
         # passes through the wrapper.
         monkeypatch.setattr(oddmax.sat, "sat_dpll", counting)
+        # reference_dpll gives the answer and reference_unit_dpll, sat_dpll's
+        # rule written apart, the exact number of calls.
         for formula in list(dpll_samples()) + [parse(text) for text in WITH_CONSTANTS]:
             expected_calls = []
-            expected = reference_dpll(formula, expected_calls)
+            expected = reference_dpll(formula, [])
+            assert reference_unit_dpll(formula, expected_calls) is expected, serialize(formula)
             calls.clear()
             assert oddmax.sat.sat_dpll(formula) is expected, serialize(formula)
             assert len(calls) == len(expected_calls), serialize(formula)
