@@ -74,8 +74,9 @@ def _body_sat(body: str) -> bool | None:
     Both tags of a body share this one answer, so a machine iteration costs
     one pass over the body's tokens (text_satisfiable), at any nesting depth.
     Only a body with more than BRUTEFORCE_BOUND distinct variables is parsed
-    and given to sat_bruteforce, whose num_vars and _assign recurse;
-    exceptions from that fallback (deep input) propagate uncached.
+    and given to sat_bruteforce, whose walk for the occurring variables and
+    _assign recurse; exceptions from that fallback (deep input) propagate
+    uncached.
     """
     try:
         return text_satisfiable(body)

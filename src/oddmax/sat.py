@@ -1,12 +1,16 @@
 """Desk-scale SAT decision and lexicographically maximum satisfying assignments.
 
 One lex-max search, ``_top_model``, serves every n, with no variable limit,
-for sat_bruteforce, lexmax and odd_max_sat_ref. Up to BLOCK_VARS variables
-it sweeps one truth table, and above that it pins x_1..x_(n-16) depth-first
-with constant folding and sweeps one table of the last BLOCK_VARS variables
-at each leaf. The tests check it by :func:`sat_dpll`, which nothing here
-calls: a splitting search that first pins the literals among the top-level
-conjuncts (the unit rule) and then splits on the highest live variable.
+for sat_bruteforce, lexmax and odd_max_sat_ref. It runs over the m variables
+that occur, in index order, found by one recursive walk (``_names``): a
+variable that does not occur never changes satisfiability, so the lex-max
+model sets it true. Up to BLOCK_VARS of them it sweeps one 2^m-bit truth
+table, and above that it pins the first m-16 depth-first with constant
+folding and sweeps one table of the last BLOCK_VARS at each leaf. This is
+the renaming text_satisfiable's fold makes, kept in index order. The tests
+check the search by :func:`sat_dpll`, which nothing here calls: a splitting
+search that first pins the literals among the top-level conjuncts (the unit
+rule) and then splits on the highest live variable.
 
 The join oracle asks :func:`text_satisfiable`, which decides formula text
 without building an AST: up to BRUTEFORCE_BOUND distinct variables it folds
@@ -21,6 +25,7 @@ column set per width (``_columns``). The sweep walks the left operand of
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from functools import lru_cache
 from operator import and_, or_
 
@@ -43,58 +48,80 @@ from .formula import (
 
 #: Most distinct variables text_satisfiable folds into one 2^m-bit table.
 BRUTEFORCE_BOUND = 20
-#: Variables in one table of the lex-max search: all of them up to 16, and
-#: the last 16 at each leaf above that (2^16-bit, 8 KiB tables).
+#: Occurring variables in one table of the lex-max search: all of them up to
+#: 16, and the last 16 at each leaf above that (2^16-bit, 8 KiB tables).
 BLOCK_VARS = 16
 
 
 def sat_bruteforce(formula: Formula) -> bool:
-    """Satisfiability by the lex-max search, with no variable limit: one
-    bit-parallel truth table (one bit per assignment) up to BLOCK_VARS
-    variables, and above that one 2^16-bit table per leaf of the pinning
-    search, ending at the first model.
+    """Satisfiability by the lex-max search over the m variables that occur,
+    with no variable limit: one bit-parallel truth table (one bit per
+    assignment) up to BLOCK_VARS of them, and above that one 2^16-bit table
+    per leaf of the pinning search, ending at the first model.
     """
-    return _top_model(formula, num_vars(formula)) is not None
+    return _top_model(formula, _names(formula)) is not None
 
 
-def _top_model(formula: Formula, n: int) -> int | None:
-    # Index of the lexicographically greatest model, or None if UNSAT. Up to
-    # BLOCK_VARS it is one table's highest set bit. Above, constants are
-    # folded and x_1..x_(n-16) pinned depth-first, true first: FALSE prunes,
-    # TRUE ends with ones, an x_i that _assign leaves unchanged takes only
-    # true, and each leaf sweeps the last 16 variables; first model wins.
-    if n <= BLOCK_VARS:
-        full, columns = _columns(n)
-        table = _table(formula, columns, full)
+def _names(formula: Formula) -> list[int]:
+    # The sorted indices of the variables that occur in `formula`.
+    found: set[int] = set()
+    _collect(formula, found.add)
+    return sorted(found)
+
+
+def _collect(formula: Formula, add: Callable[[int], object]) -> None:
+    # Calls `add` on the index of every variable leaf, left to right.
+    kind = type(formula)
+    if kind is Var:
+        add(formula.index)
+    elif kind is Not:
+        _collect(formula.child, add)
+    elif kind is not Const:
+        _collect(formula.left, add)
+        _collect(formula.right, add)
+
+
+def _top_model(formula: Formula, names: list[int]) -> int | None:
+    # Index of the lexicographically greatest model over the m occurring
+    # variables `names` (names[0] is bit m-1), or None if UNSAT; a variable
+    # that does not occur is true in every such model. Up to BLOCK_VARS it
+    # is one table's highest set bit. Above, constants are folded and
+    # names[:m-16] pinned depth-first, true first: FALSE prunes, TRUE ends
+    # with ones, a variable that _assign leaves unchanged takes only true,
+    # and each leaf sweeps the last 16 names; first model wins.
+    m = len(names)
+    if m <= BLOCK_VARS:
+        full, columns = _columns(m)
+        table = _table(formula, dict(zip(names, columns[1:])), full)
         return table.bit_length() - 1 if table else None
-    pinned = n - BLOCK_VARS
+    pinned = m - BLOCK_VARS
     full, columns = _columns(BLOCK_VARS)
-    # x_1..x_pinned are assigned away before a leaf; their slots read 0.
-    leaf = (0,) * pinned + columns
+    # names[:pinned] are assigned away before a leaf, so it holds no others.
+    leaf = dict(zip(names[pinned:], columns[1:]))
     stack = [(_assign(formula, 0, TRUE), 0, 0)]
     while stack:
         formula, depth, prefix = stack.pop()
-        if depth < 0:  # x_(-depth)'s false branch, assigned only when reached
+        if depth < 0:  # a false branch, assigned only when reached
             depth = -depth
-            formula = _assign(formula, depth, FALSE)
+            formula = _assign(formula, names[depth - 1], FALSE)
         if type(formula) is Const:
             if formula.value:
-                return (prefix + 1 << n - depth) - 1
+                return (prefix + 1 << m - depth) - 1
             continue
         if depth == pinned:
             table = _table(formula, leaf, full)
             if table:
                 return (prefix << BLOCK_VARS) + table.bit_length() - 1
             continue
+        true = _assign(formula, names[depth], TRUE)
         depth += 1
-        true = _assign(formula, depth, TRUE)
         if true is not formula:
             stack.append((formula, -depth, prefix << 1))
         stack.append((true, depth, prefix << 1 | 1))
     return None
 
 
-def _table(formula: Formula, columns: tuple[int, ...], full: int) -> int:
+def _table(formula: Formula, columns: Mapping[int, int], full: int) -> int:
     # columns[i] is the column of x_i; `full` is the all-ones mask over them.
     # The left operand goes first: a 0 absorbs "&" and `full` absorbs "|",
     # so the right operand is then never walked.
@@ -139,9 +166,9 @@ def text_satisfiable(text: str) -> bool:
 
 @lru_cache(maxsize=None)
 def _columns(m: int) -> tuple[int, tuple[int, ...]]:
-    # The all-ones mask over 2^m assignments and the column of x_i at index
-    # i (slot 0 unused): the package's one column cache, which the lex-max
-    # search and the join's fold share.
+    # The all-ones mask over 2^m assignments and, at index i, the column of
+    # the i-th of m variables, x_1 first (slot 0 unused): the package's one
+    # column cache, which the lex-max search and the join's fold share.
     return (1 << (1 << m)) - 1, (0, *(_var_column(m - i, m) for i in range(1, m + 1)))
 
 
@@ -228,21 +255,29 @@ def _spine_literal(formula: And) -> tuple[int, Const] | None:
 def lexmax(formula: Formula) -> Assignment | None:
     """Lexicographically greatest satisfying assignment, or None if UNSAT.
 
-    x_1 is the most significant coordinate: the witness is the lex-max
-    search's model index read as the numeral x_1..x_n (x_1 is bit n-1).
+    x_1 is the most significant coordinate. The lex-max search gives the
+    model index over the variables that occur, in index order; every
+    variable below x_n that does not occur is true in the witness.
     """
-    n = num_vars(formula)
-    top = _top_model(formula, n)
-    return None if top is None else tuple(bool((top >> (n - 1 - k)) & 1) for k in range(n))
+    names = _names(formula)
+    top = _top_model(formula, names)
+    if top is None:
+        return None
+    m = len(names)
+    witness = [True] * (names[-1] if names else 0)
+    for k, index in enumerate(names, 1):
+        witness[index - 1] = top >> m - k & 1 == 1
+    return tuple(witness)
 
 
 def odd_max_sat_ref(formula: Formula) -> bool:
     """Reference decider: satisfiable with x_n true in the lex-max witness.
 
     An assignment read as the binary numeral x_1..x_n is odd exactly when
-    x_n is true. Rejects unsatisfiable formulas, and, as the machine does, a
-    formula without variables, which has no x_n to be true; so
-    decide_oddmaxsat(f) == odd_max_sat_ref(f) for every formula f.
+    x_n is true. x_n is the last variable that occurs, so it is bit 0 of
+    the lex-max search's index. Rejects unsatisfiable formulas, and, as the
+    machine does, a formula without variables, which has no x_n to be true;
+    so decide_oddmaxsat(f) == odd_max_sat_ref(f) for every formula f.
     """
-    top = _top_model(formula, num_vars(formula))
+    top = _top_model(formula, _names(formula))
     return top is not None and top & 1 == 1

@@ -299,10 +299,12 @@ def test_sat_backend_agreement():
 
 
 def test_block_sweep_agreement():
-    """Above one truth table, on 400 seeded formulas spanning exactly
-    n = 17..20 variables (200 random bodies and their negations): splitting
-    search equals sat_bruteforce's pinning search and the greedy lex-max
-    equals lexmax; zero disagreements; under 5 s."""
+    """On 400 seeded formulas spanning exactly n = 17..20 variables (200
+    random bodies and their negations): splitting search equals
+    sat_bruteforce and the greedy lex-max equals lexmax; zero
+    disagreements; under 5 s. The lex-max search runs over the variables
+    that occur, at most 14 here, so each is one table; tests/test_sat.py's
+    full-span inputs reach its pins."""
     start = time.perf_counter()
     batch = []
     for seed in range(200):

@@ -17,8 +17,10 @@ from conftest import (
     reference_lexmax,
     satisfying_assignments,
 )
+from test_corpus import indices
 from test_formula import TestParserReference as ParserReference, parse_outcome
 from oddmax.formula import (
+    MAX_VAR_INDEX,
     And,
     Const,
     Not,
@@ -224,15 +226,16 @@ def single_table(formula, n):
 
 def record_sweeps(monkeypatch, limit=2) -> list:
     """Wrap _table so that each sweep, not each node it visits, appends the
-    formula swept, failing past `limit` sweeps; _table recurses through the
-    module global, so nested calls are told apart by their depth."""
+    formula swept and its table's width in bits (2^m for m variables),
+    failing past `limit` sweeps; _table recurses through the module global,
+    so nested calls are told apart by their depth."""
     sweeps, depth = [], 0
     original = oddmax.sat._table
 
     def recording(formula, columns, full):
         nonlocal depth
         if depth == 0:
-            sweeps.append(formula)
+            sweeps.append((formula, full.bit_length()))
             assert len(sweeps) <= limit, f"more than {limit} sweeps"
         depth += 1
         try:
@@ -249,6 +252,23 @@ def spanning(body, n):
     return And(body, Or(Var(n), Not(Var(n))))
 
 
+def tautologies(first, last):
+    """The right-nested conjunction of (x_i|!x_i) for i = first..last."""
+    chain = Or(Var(last), Not(Var(last)))
+    for i in range(last - 1, first - 1, -1):
+        chain = And(Or(Var(i), Not(Var(i))), chain)
+    return chain
+
+
+def full_span(body, n):
+    """`body` conjoined with the tautology on every x_1..x_n, so that all n
+    variables occur and, above BLOCK_VARS, the lex-max search pins the
+    first n - 16 of them."""
+    formula = And(body, tautologies(1, n))
+    assert len(indices(formula)) == n > BLOCK_VARS
+    return formula
+
+
 def pin_high(n, block):
     """Conjunction fixing x_1..x_(n-BLOCK_VARS) to the bits of `block`, so
     every model lies in that block."""
@@ -263,7 +283,8 @@ def pin_high(n, block):
 def block_path_formulas(n):
     """Seeded formulas spanning n variables: random bodies and their
     negations, UNSAT ones, and above BLOCK_VARS ones whose models all lie
-    under the lowest pinned prefix of x_1..x_(n-16) or under a middle one."""
+    under the lowest pinned prefix of x_1..x_(n-16) or under a middle one,
+    each also in its full-span variant, which the search pins."""
     formulas = []
     for seed in range(6):
         base = random_formula(seed, n=n, size=25)
@@ -273,6 +294,8 @@ def block_path_formulas(n):
             for block in (0, (1 << (n - BLOCK_VARS)) // 3):
                 bodies.append(And(pin_high(n, block), Or(base, Var(n))))
         formulas += [spanning(body, n) for body in bodies]
+        if n > BLOCK_VARS:
+            formulas += [full_span(body, n) for body in bodies]
     return formulas
 
 
@@ -308,19 +331,38 @@ class TestBlocks:
             assert lexmax(formula) == reference_witness(formula, 20)
 
     def test_first_leaf_with_a_model_ends_the_search(self, monkeypatch):
-        # x1 = 1 leaves x20; x2..x4 are absent, so one leaf sweeps it.
+        # Only x1 and x20 occur: one 2^2-bit sweep over them, no pins.
         sweeps = record_sweeps(monkeypatch)
         formula = parse("(x1&x20)")
         assert sat_bruteforce(formula) is True
-        assert sweeps == [Var(20)]
+        assert sweeps == [(formula, 4)]
         sweeps.clear()
         assert lexmax(formula) == (True,) * 20
-        assert sweeps == [Var(20)]
+        assert sweeps == [(formula, 4)]
+        # All twenty occur, so x1..x4 are pinned. x4 = 1 leaves a leaf with
+        # no model; x4 = 0 leaves the last 16 tautologies, whose leaf has
+        # one and ends the search before x3 = 0 is tried.
+        sweeps.clear()
+        empty = And(Var(20), Not(Var(20)))
+        formula = full_span(Or(Not(Var(4)), empty), 20)
+        leaves = [(And(empty, tautologies(5, 20)), 1 << 16), (tautologies(5, 20), 1 << 16)]
+        assert sat_bruteforce(formula) is True
+        assert sweeps == leaves
+        sweeps.clear()
+        assert lexmax(formula) == (True, True, True, False) + (True,) * 16
+        assert sweeps == leaves
 
     def test_pins_that_fold_to_false_sweep_no_leaf(self, monkeypatch):
-        # Both values of x1 fold the formula to FALSE: no leaf is reached.
+        # Only x1 and x20 occur: one 2^2-bit sweep per search, no pins.
         sweeps = record_sweeps(monkeypatch)
         formula = parse("((x1&!x1)&x20)")
+        assert sat_bruteforce(formula) is False
+        assert lexmax(formula) is None
+        assert sweeps == [(formula, 4)] * 2
+        # All twenty occur: both values of x1 fold the formula to FALSE, so
+        # no leaf is reached.
+        sweeps.clear()
+        formula = full_span(formula, 20)
         assert sat_bruteforce(formula) is False
         assert lexmax(formula) is None
         assert sweeps == []
@@ -348,7 +390,9 @@ def absorbing_formulas(n):
     """Formulas spanning n variables whose "&" and "|" have absorbing left
     operands: the high variables and their negations (0 or all-ones in each
     block) and the WITH_CONSTANTS texts, over random, negated and UNSAT
-    bodies. The last two per body meet both cases in every block."""
+    bodies. The last two per body meet both cases in every block. Above
+    BLOCK_VARS each comes in its full-span variant too, which the search
+    pins."""
     lefts = [parse(text) for text in WITH_CONSTANTS]
     for i in range(1, n - BLOCK_VARS + 1):
         lefts += [Var(i), Not(Var(i))]
@@ -363,6 +407,8 @@ def absorbing_formulas(n):
                 Or(And(Var(1), body), And(Not(Var(1)), Not(body))),
                 And(Or(Var(1), body), Or(Not(Var(1)), Not(body))),
             ]
+    if n > BLOCK_VARS:
+        formulas += [full_span(formula, n) for formula in formulas]
     return formulas
 
 
@@ -591,10 +637,15 @@ class TestLexmax:
 
     @pytest.mark.parametrize("n", [BRUTEFORCE_BOUND, BRUTEFORCE_BOUND + 1])
     def test_regime_boundary(self, n):
-        # Both sides of 20 variables take the same search: it pins
-        # x_1..x_(n-16), so x_1..x_4 at n = 20 and x_1..x_5 at n = 21.
-        assert lexmax(parse(f"(x1&!x{n})")) == (True,) * (n - 1) + (False,)
-        assert lexmax(parse(f"((x1&!x1)&x{n})")) is None
+        # Both sides of 20 variables take the same search over the variables
+        # that occur: one 2^2-bit table here, and in the full-span variants
+        # x_1..x_(n-16) pinned, so x_1..x_4 at n = 20 and x_1..x_5 at n = 21.
+        for formula, witness in [
+            (parse(f"(x1&!x{n})"), (True,) * (n - 1) + (False,)),
+            (parse(f"((x1&!x1)&x{n})"), None),
+        ]:
+            assert lexmax(formula) == witness
+            assert lexmax(full_span(formula, n)) == witness
 
     @pytest.mark.parametrize("n", range(17, BRUTEFORCE_BOUND + 1))
     def test_truth_table_equals_greedy_up_to_the_bound(self, n):
@@ -653,34 +704,62 @@ def assert_search(formula):
 
 
 class TestSearchAboveTheBound:
-    """The lex-max search's pinning of x_1..x_(n-16), rule by rule."""
+    """The lex-max search's pinning of the occurring variables above the
+    last 16, rule by rule. Each gapped formula is also searched in its
+    full-span variant, where all n variables occur and x_1..x_(n-16) are
+    pinned; the witness is the same."""
 
     @pytest.mark.parametrize("text, n", [("(x1&x30)", 30), ("x25", 25)])
     def test_gapped_formulas_are_all_true(self, text, n):
-        assert assert_search(parse(text)) == (True,) * n
+        for formula in (parse(text), full_span(parse(text), n)):
+            assert assert_search(formula) == (True,) * n
 
     def test_false_pins_in_the_prefix(self):
-        assert assert_search(parse("(!x1&x25)")) == (False,) + (True,) * 24
-        assert assert_search(parse("(x1&(!x2&x40))")) == (True, False) + (True,) * 38
+        for text, n, witness in [
+            ("(!x1&x25)", 25, (False,) + (True,) * 24),
+            ("(x1&(!x2&x40))", 40, (True, False) + (True,) * 38),
+        ]:
+            for formula in (parse(text), full_span(parse(text), n)):
+                assert assert_search(formula) == witness
 
     def test_branches_that_fold_to_constants(self):
         # x1, x2 = 1, 1 folds to FALSE and x1, x2, x3 = 1, 0, 1 to TRUE.
         formula = parse("((!x1|!x2)&(x3|x30))")
         assert assert_search(formula) == (True, False) + (True,) * 28
+        assert assert_search(full_span(formula, 30)) == (True, False) + (True,) * 28
         # Every branch under x1 = 1 folds to FALSE at x3; x1 = 0 leaves x30.
         formula = parse("((x1&(x2&(x3&!x3)))|(!x1&x30))")
         assert assert_search(formula) == (False,) + (True,) * 29
+        assert assert_search(full_span(formula, 30)) == (False,) + (True,) * 29
 
     @pytest.mark.parametrize("text", ["((x1&x100)&!x100)", "((1&x100)&!x100)"])
     def test_absent_variables_take_only_the_true_branch(self, text, monkeypatch):
-        # x1 = 1, or the folded constant, leaves (x100&!x100), free of
-        # x2..x84: one leaf sweep per search. Branching on an absent variable
-        # would repeat it, up to 2^83 times.
+        # x2..x99 do not occur, so nothing is pinned: lexmax and
+        # odd_max_sat_ref each sweep one 2^m-bit table over the m variables
+        # that occur (x1 and x100, or x100 alone).
         sweeps = record_sweeps(monkeypatch)
+        formula = parse(text)
+        assert assert_search(formula) is None
+        assert sweeps == [(formula, 1 << len(indices(formula)))] * 2
+
+    @pytest.mark.parametrize("n", [21, 100])
+    def test_a_variable_the_branch_no_longer_holds_takes_only_its_true_branch(
+        self, n, monkeypatch
+    ):
+        # All n variables occur, so x1..x_(n-16) are pinned. x1 = 1 leaves
+        # `unsat`, free of x2..x_(n-16): one leaf sweep, where branching on
+        # each would repeat it up to 2^(n-17) times. x1 = 0 leaves the
+        # tautologies, whose all-true path reaches a leaf with a model.
+        sweeps = record_sweeps(monkeypatch, limit=6)
+        unsat = And(And(Var(n), Not(Var(n))), tautologies(n - 15, n))
+        formula = Or(And(Var(1), unsat), And(Not(Var(1)), tautologies(2, n)))
+        assert len(indices(formula)) == n
         start = time.perf_counter()
-        assert assert_search(parse(text)) is None
+        witness = lexmax(formula)
         assert time.perf_counter() - start < 1
-        assert sweeps == [And(Var(100), Not(Var(100)))] * 2
+        assert assert_search(formula) == witness == (False,) + (True,) * (n - 1)
+        leaves = [(unsat, 1 << 16), (tautologies(n - 15, n), 1 << 16)]
+        assert sweeps == leaves * 3
 
     @pytest.mark.parametrize("n", [21, 30, 50, 100])
     def test_random_bodies_and_their_negations(self, n):
@@ -688,3 +767,48 @@ class TestSearchAboveTheBound:
             base = random_formula(seed, n=n, size=3 * n)
             for body in (base, Not(base)):
                 assert_search(spanning(body, n))
+
+    @pytest.mark.parametrize("n", [17, 21])
+    def test_random_bodies_in_full_span(self, n):
+        # Every x_1..x_(n-16) is pinned, and the tautologies keep any branch
+        # from folding to TRUE before the leaf: up to 2^(n-16) leaves.
+        for seed in range(30):
+            base = random_formula(seed, n=n, size=3 * n)
+            for body in (base, Not(base)):
+                assert_search(full_span(body, n))
+
+
+def renamed(formula, targets):
+    """`formula` with each x_k written as x_targets[k-1]."""
+    kind = type(formula)
+    if kind is Var:
+        return Var(targets[formula.index - 1])
+    if kind is Const:
+        return formula
+    if kind is Not:
+        return Not(renamed(formula.child, targets))
+    return kind(renamed(formula.left, targets), renamed(formula.right, targets))
+
+
+class TestGapInvariance:
+    """A formula's indices moved apart, in order, change no answer: the
+    search runs over the variables that occur, and the new gaps read true."""
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.data())
+    def test_spread_indices_give_the_spread_witness(self, seed, m, data):
+        formula = random_formula(seed, n=m, size=25)
+        targets = sorted(data.draw(st.sets(st.integers(1, MAX_VAR_INDEX), min_size=m, max_size=m)))
+        gapped = renamed(formula, targets)
+        witness = lexmax(formula)
+        expected = None
+        if witness is not None:
+            n = len(witness)
+            spread = [True] * (targets[n - 1] if n else 0)
+            for k in range(n):
+                spread[targets[k] - 1] = witness[k]
+            expected = tuple(spread)
+        assert lexmax(gapped) == expected, serialize(gapped)
+        assert lexmax_greedy(gapped) == expected, serialize(gapped)
+        assert sat_bruteforce(gapped) is sat_bruteforce(formula) is (witness is not None)
+        assert odd_max_sat_ref(gapped) is odd_max_sat_ref(formula)
