@@ -16,13 +16,14 @@ tokens of x_1..x_i: the string serialize(substitute(...)) gives for those pins.
 
 All runs are expanded in one place, `expand_runs`, which takes the node
 builder as an argument; each job passes its own builder and walks no tree
-built for another job. Every tree has one node layout: the two queries, then
-the four children in IterationCase order. `build_query_tree` builds
-TreeNodes, which hold Query objects and then the iteration and its text, for
-the tree dumps; `query_bodies` builds nothing and only gathers the bodies,
-from which `query_universe` makes its queries; the positivity checks build
-their mask nodes over those bodies' wires. `tree_verdict` walks any tree of
-that layout.
+built for another job. Every tree a walk reads has one node layout: the two
+queries, then the four children in IterationCase order. `build_query_tree`
+builds TreeNodes, which hold Query objects and then the iteration and its
+text, for the tree dumps; `query_universe` builds nothing and only gathers
+the bodies, from which it makes its queries; the positivity checks gather
+the bodies in one expansion whose nodes hold the body and then the four
+children, and relabel those nodes into the one layout over their bodies'
+mask bits. `tree_verdict` walks any tree of that layout.
 """
 
 from __future__ import annotations
@@ -312,19 +313,14 @@ def tree_verdict(tree: Union[tuple, bool], oracle: Callable[[Any], object]) -> b
     return node
 
 
-def query_bodies(text: str, program: MachineProgram) -> set[str]:
-    """Every body asked on the canonical `text` under some oracle behavior,
-    from one expansion that builds no node. Raises ValueError past TREE_BOUND."""
-    bodies: set[str] = set()
-    expand_runs(text, program, lambda i, text, body, children: bodies.add(body))
-    return bodies
-
-
 def query_universe(
     formula: Formula, program: MachineProgram = STANDARD_PROGRAM
 ) -> frozenset[Query]:
-    """The set of queries reachable on the formula under some oracle behavior."""
-    bodies = query_bodies(serialize(formula), program)
+    """The set of queries reachable on the formula under some oracle behavior,
+    from one expansion that builds no node and only gathers the bodies asked.
+    Raises ValueError past TREE_BOUND."""
+    bodies: set[str] = set()
+    expand_runs(serialize(formula), program, lambda i, text, body, children: bodies.add(body))
     return frozenset(Query(body, tag) for body in bodies for tag in TAGS)
 
 

@@ -4,27 +4,29 @@ never turn an accepted input into a rejected one.
 The check quantifies over subsets of the reachable query universe rather
 than over all strings; a run's verdict only ever consults queries from that
 universe, so the restriction loses nothing (the test suite pins this down).
-Both checks start from one compile (`_compile`) of two expansions of the
-runs: the first gathers the asked bodies (`query_bodies`), sorted once, body
-r owning bits 2r and 2r+1 (its two wires' places in sorted order); the
-second builds the one node layout over those bits (`expand_runs` with a
-mask-node builder). Small universes are swept exhaustively over all 3^|U|
-nested mask pairs of `enumerate_subset_pairs`, against one table of 2^|U|
-verdicts filled by walking the compiled tree with `tree_verdict` once per
-mask; larger ones are sampled, every pair from one `subset_mask_draws`
-stream, each mask selecting its run with two integer ANDs per level, the
-root's from locals and the rest walked inline in the draw loop: S's run on
-every pair, T's run only when S's run accepts, since a pair whose S is
-rejected cannot violate. Neither check builds the query tree. Both return
-through one report builder (`_report`), the only place that builds Queries,
-frozensets and finite oracles: it replays a violating mask pair by two
-run_machine calls.
+Both checks start from one compile (`_compile`) of one expansion of the
+runs (`expand_runs`), whose builder gathers each asked body and keeps it in
+its node; the bodies are sorted once, body r owning bits 2r and 2r+1 (its two wires'
+places in sorted order), and one walk relabels the expanded nodes into the
+one node layout over those bits. Small universes are swept exhaustively
+over all 3^|U| nested mask pairs of `enumerate_subset_pairs`, against one
+table of 2^|U| verdicts filled by walking the compiled tree with
+`tree_verdict` once per mask; larger ones are sampled, every pair from one
+`subset_mask_draws` stream, each mask selecting its run with two integer
+ANDs per level, the root's from locals and the rest walked inline in the
+draw loop, which takes the stream's (T, R) pairs as they come and counts
+them: S's run on every pair, T's run only when S's run accepts, since a
+pair whose S is rejected cannot violate. Neither check builds the query
+tree. Both return through one report builder (`_report`), the only place
+that builds Queries, frozensets and finite oracles: it replays a violating
+mask pair by two run_machine calls.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Union
 
 from .formula import Formula, serialize
@@ -32,7 +34,6 @@ from .machine import (
     MachineProgram,
     STANDARD_PROGRAM,
     expand_runs,
-    query_bodies,
     run_machine,
     tree_verdict,
 )
@@ -120,21 +121,39 @@ MaskTree = Union[tuple, bool]
 
 def _compile(formula: Formula, program: MachineProgram) -> tuple[str, list[str], MaskTree]:
     """The report text, the universe's sorted wires, and the mask tree over
-    them. Raises ValueError past TREE_BOUND.
+    them, from one expansion of the runs. Raises ValueError past TREE_BOUND.
 
-    Body r of the sorted bodies gets bits 2r and 2r+1: bodies of one text
-    differ only in what is written over its variable tokens (0, 1 or the
-    variable), whose first characters differ, so no body is a proper prefix
-    of another and the sorted wires are body+"0", body+"1" in body order."""
+    The expansion gathers the asked bodies and builds each node as (body,
+    *children); the bodies are sorted once, and one walk relabels each node
+    with its body's bits. Body r of the sorted bodies gets bits 2r and 2r+1:
+    bodies of one text differ only in what is written over its variable
+    tokens (0, 1 or the variable), whose first characters differ, so no body
+    is a proper prefix of another and the sorted wires are body+"0", body+"1"
+    in body order."""
     text = serialize(formula)
-    bodies = sorted(query_bodies(text, program))
+    asked: set[str] = set()
+
+    def body_node(i: int, text: str, body: str, children: list) -> tuple:
+        asked.add(body)
+        return (body, *children)
+
+    runs = expand_runs(text, program, body_node)
+    bodies = sorted(asked)
     wires = [body + tag for body in bodies for tag in TAGS]
     bits = {body: (1 << 2 * r, 2 << 2 * r) for r, body in enumerate(bodies)}
 
-    def mask_node(i: int, text: str, body: str, children: list) -> tuple:
-        return (*bits[body], *children)
+    def relabel(node: tuple) -> tuple:
+        # Bool leaves are kept as they are, without a call each.
+        body, fix_true, fix_false, accept_both, reject_both = node
+        return (
+            *bits[body],
+            fix_true if type(fix_true) is bool else relabel(fix_true),
+            fix_false if type(fix_false) is bool else relabel(fix_false),
+            accept_both if type(accept_both) is bool else relabel(accept_both),
+            reject_both if type(reject_both) is bool else relabel(reject_both),
+        )
 
-    return text, wires, expand_runs(text, program, mask_node)
+    return text, wires, runs if type(runs) is bool else relabel(runs)
 
 
 def check_positivity_exhaustive(
@@ -177,9 +196,12 @@ def check_positivity_sampled(
     # The root's fields are locals, so each run's first level is two ANDs;
     # deeper levels are walked inline, with no call per run. A pair whose S
     # is rejected cannot violate, so T's run is walked only when S's accepts.
+    # The pairs are counted in a local, so no pair is wrapped with its count.
     root0, root1, root_true, root_false, root_both, root_neither = compiled
     draws = subset_mask_draws(len(wires), random.Random(seed))
-    for checked, (large, r) in zip(range(1, samples + 1), draws):
+    checked = 0
+    for large, r in islice(draws, samples):
+        checked += 1
         small = large & r
         if small & root0:
             node = root_both if small & root1 else root_true

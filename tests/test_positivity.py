@@ -617,6 +617,22 @@ class TestReportText:
         assert check(formula).formula == "(x1|!x2)"
         assert serialized == [formula]
 
+    def test_one_expansion_per_check(self, monkeypatch, check):
+        expanded = []
+        for module in (oddmax.positivity, oddmax.machine):
+            def counting(text, program, node, _original=module.expand_runs):
+                expanded.append(text)
+                return _original(text, program, node)
+
+            monkeypatch.setattr(module, "expand_runs", counting)
+        for text in ("(x1|!x2)", "(!1|0)"):
+            assert check(parse(text)).ok, text
+            assert expanded == [text], text
+            expanded.clear()
+        # The wrappers are live: the query universe expands through the machine's.
+        assert len(query_universe(parse("x1"))) == 2
+        assert expanded == ["x1"]
+
     def test_constant_formula_is_serialized_for_the_report(self, monkeypatch, check):
         serialized = self.count_serialize(monkeypatch)
         formula = parse("(!1|0)")
