@@ -17,12 +17,14 @@ and variable indices stop at ``MAX_VAR_INDEX``.
 :func:`parse` is one loop over the tokens of the text: a variable with its
 digits, or one character. The tokens come from one ``re.split`` at the
 variable tokens (``_VARIABLE``, the pattern the machine splits its text
-with too), the pieces between them broken into characters. The loop keeps
+with too), the pieces between them broken into characters; ``_tokens``
+takes that split, so :func:`oddmax.sat.text_satisfiable` splits its text
+once and reads its variable names from the same pieces. The loop keeps
 the open "|" and "&" chains and the pending "!"s of each open parenthesis
-on an explicit stack, so nesting depth costs no recursion, and computes a
-token's offset only for a ParseError. The loop (``_fold``) takes its
-algebra as arguments: parse folds the tokens into AST nodes,
-:func:`canonical` into the canonical text itself, and
+on an explicit stack, so nesting depth costs no recursion, and works out a
+token's offset only for a ParseError, from the tokens left after it. The
+loop (``_fold``) takes its algebra as arguments: parse folds the tokens
+into AST nodes, :func:`canonical` into the canonical text itself, and
 :func:`oddmax.sat.text_satisfiable` into bit-parallel truth-table columns,
 so all three share one tokenizer, one grammar and one set of error messages
 and positions. The leaves ``Var(1)`` .. ``Var(MAX_VAR_INDEX)``, ``TRUE`` and
@@ -36,7 +38,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Formula = Union["Var", "Not", "And", "Or", "Const"]
 
@@ -103,7 +105,7 @@ def parse(text: str) -> Formula:
     The grammar is strict: no whitespace, no trailing characters. Variable
     indices above MAX_VAR_INDEX are rejected like malformed text.
     """
-    return _fold(text, _tokens(text), _LEAVES, Not, And, Or)
+    return _fold(text, _tokens(_VARIABLE.split(text)), _LEAVES, Not, And, Or)
 
 
 def canonical(text: str) -> str:
@@ -111,7 +113,7 @@ def canonical(text: str) -> str:
 
     Raises the ParseError parse raises. No recursion, so any depth is fine.
     """
-    return _fold(text, _tokens(text), _TEXTS, "!".__add__,
+    return _fold(text, _tokens(_VARIABLE.split(text)), _TEXTS, "!".__add__,
                  lambda a, b: f"({a}&{b})", lambda a, b: f"({a}|{b})")
 
 
@@ -120,7 +122,7 @@ _T = TypeVar("_T")
 
 def _fold(text: str, tokens: list[str], leaves: Mapping[str, _T], neg: Callable[[_T], _T],
           conj: Callable[[_T, _T], _T], disj: Callable[[_T, _T], _T]) -> _T:
-    """Fold the grammar over `tokens` (`_tokens(text)`) in one loop.
+    """Fold the grammar over `tokens` (the tokens of `text`) in one loop.
 
     `leaves` maps the text of every valid leaf that occurs in `tokens` to its
     value, and `neg`, `conj` and `disj` combine values as "!", "&" and "|"
@@ -132,7 +134,8 @@ def _fold(text: str, tokens: list[str], leaves: Mapping[str, _T], neg: Callable[
     and_node: _T | None = None  # the open "&" chain, left-associated
     nots = 0  # "!"s waiting for the next literal
     want_literal = True
-    for k, token in enumerate(tokens):
+    rest = iter(tokens)  # on a ParseError, the tokens after `token`
+    for token in rest:
         if want_literal:
             node = leaves.get(token)
             if node is not None:
@@ -148,7 +151,7 @@ def _fold(text: str, tokens: list[str], leaves: Mapping[str, _T], neg: Callable[
                 or_node = and_node = None
                 nots = 0
             else:
-                raise _literal_error(token, _offset(tokens, k))
+                raise _literal_error(token, _offset(text, token, rest))
         elif token == "&":
             want_literal = True
         elif token == "|":
@@ -163,9 +166,9 @@ def _fold(text: str, tokens: list[str], leaves: Mapping[str, _T], neg: Callable[
                 nots -= 1
             and_node = node if and_node is None else conj(and_node, node)
         elif frames:
-            raise ParseError("expected ')'", _offset(tokens, k))
+            raise ParseError("expected ')'", _offset(text, token, rest))
         else:
-            raise ParseError(f"unexpected character {token[0]!r}", _offset(tokens, k))
+            raise ParseError(f"unexpected character {token[0]!r}", _offset(text, token, rest))
     if want_literal:
         raise ParseError("unexpected end of input", len(text))
     if frames:
@@ -177,10 +180,11 @@ def _fold(text: str, tokens: list[str], leaves: Mapping[str, _T], neg: Callable[
 _VARIABLE = re.compile(r"(x[0-9]+)")
 
 
-def _tokens(text: str) -> list[str]:
-    """The tokens of `text`: each variable with its digits, and every other
-    character on its own (a bare "x" too), so "".join(tokens) == text."""
-    pieces = iter(_VARIABLE.split(text))
+def _tokens(split: list[str]) -> list[str]:
+    """The tokens of a text from its `_VARIABLE.split`: each variable with its
+    digits, and every other character on its own (a bare "x" too), so
+    "".join(tokens) == text."""
+    pieces = iter(split)
     tokens = list(next(pieces))
     for variable in pieces:
         tokens.append(variable)
@@ -188,8 +192,9 @@ def _tokens(text: str) -> list[str]:
     return tokens
 
 
-def _offset(tokens: list[str], k: int) -> int:
-    return sum(map(len, tokens[:k]))
+def _offset(text: str, token: str, rest: Iterator[str]) -> int:
+    # The offset of `token` in `text`, where `rest` yields the tokens after it.
+    return len(text) - len(token) - sum(map(len, rest))
 
 
 def _literal_error(token: str, pos: int) -> ParseError:

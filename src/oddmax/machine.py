@@ -8,11 +8,16 @@ pinned true under tag '0' and tag '1'. The standard rule table
 it false, yes/yes accepts, no/no rejects; at i = n the pin-true case accepts
 and the pin-false case rejects. Strings that fail to parse are rejected
 without any queries, as are constant formulas, which have no variables to pin.
+Each program builds, once, a private table from classify_case and step that
+maps the truth values of an answer pair to (case, pinned value, verdict); a
+run looks each iteration's answers up in it, and expand_runs reads its
+four children's rules from it.
 
 Runs and trees work on text and walk no AST. The canonical text (folded from
 the input by formula.canonical, or the tree's one serialize) is split at its
-variable tokens, and a body is that text with '1' or '0' written over the
-tokens of x_1..x_i: the string serialize(substitute(...)) gives for those pins.
+variable tokens, each token's index read from a table of parse's leaf names,
+and a body is that text with '1' or '0' written over the tokens of x_1..x_i:
+the string serialize(substitute(...)) gives for those pins.
 
 All runs are expanded in one place, `expand_runs`, which takes the node
 builder as an argument; each job passes its own builder and walks no tree
@@ -32,8 +37,9 @@ import enum
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping, NamedTuple, TypeVar, Union
 
-# _VARIABLE is the variable-token pattern parse's tokenizer splits at.
-from .formula import Formula, ParseError, _VARIABLE, canonical, serialize
+# _VARIABLE is the variable-token pattern parse's tokenizer splits at, and
+# _LEAVES holds the text of every leaf parse accepts.
+from .formula import Formula, ParseError, Var, _LEAVES, _VARIABLE, canonical, serialize
 from .oracle import TAGS, Oracle, Query, sat_join_cosat
 
 #: Largest variable count for full tree expansion and query universes.
@@ -61,8 +67,12 @@ def classify_case(ans0: bool, ans1: bool) -> IterationCase:
 
 @dataclass(frozen=True)
 class MachineProgram:
-    """The rule table of the loop, read only through `step` by both the run
-    and the tree; the default values are the real machine.
+    """The rule table of the loop; the default values are the real machine.
+
+    The run and `expand_runs` read it through one private table, built once
+    per program from `classify_case` and `step`: `_table[not ans0][not ans1]`
+    is (case, value, verdict) for an answer pair, so answers of any type are
+    read for their truth as classify_case reads them.
 
     Mutant tables exist to show that the positivity and equivalence checkers
     together have teeth: each mutant is caught by one of them. Only
@@ -87,6 +97,10 @@ class MachineProgram:
         # verdicts as they are, and tree walks end on a bool leaf.
         for field in fields(self):
             object.__setattr__(self, field.name, bool(getattr(self, field.name)))
+        object.__setattr__(self, "_table", tuple(
+            tuple((case := classify_case(ans0, ans1), *self.step(case)) for ans1 in (True, False))
+            for ans0 in (True, False)
+        ))
 
     def step(self, case: IterationCase) -> tuple[bool | None, bool]:
         """(value, verdict): the value x_i is pinned to, or None when `case`
@@ -177,6 +191,7 @@ def run_machine(
         pieces, places, n = _split(canonical(text))
     except ParseError:
         return Transcript(text, False, (), False)
+    table = program._table
     iterations: list[Iteration] = []
     verdict = False  # a constant formula never enters the loop: reject
     for i in range(1, n + 1):
@@ -186,9 +201,8 @@ def run_machine(
         body = "".join(pieces)
         q0, q1 = Query(body, "0"), Query(body, "1")
         ans0, ans1 = oracle(q0), oracle(q1)
-        case = classify_case(ans0, ans1)
+        case, value, verdict = table[not ans0][not ans1]
         iterations.append(Iteration(i, (QueryRecord(q0, ans0), QueryRecord(q1, ans1)), case))
-        value, verdict = program.step(case)
         if value is None or i == n:
             break
         if not value:
@@ -197,13 +211,22 @@ def run_machine(
     return Transcript(text, True, tuple(iterations), verdict)
 
 
+#: The index of every variable token parse accepts, keyed by its text.
+_INDEX = {name: leaf.index for name, leaf in _LEAVES.items() if type(leaf) is Var}
+
+
 def _split(text: str) -> tuple[list[str], dict[int, list[int]], int]:
     """Canonical text split at its variable tokens: the pieces (odd ones are
-    the tokens), the piece positions of each x_i, and the largest index i."""
+    the tokens), the piece positions of each x_i, and the largest index i.
+
+    A token past MAX_VAR_INDEX (serialized from a hand-built Var, never
+    parsed) is read with int."""
     pieces = _VARIABLE.split(text)
     places: dict[int, list[int]] = {}
+    index = _INDEX.get
     for k in range(1, len(pieces), 2):
-        places.setdefault(int(pieces[k][1:]), []).append(k)
+        token = pieces[k]
+        places.setdefault(index(token) or int(token[1:]), []).append(k)
     return pieces, places, max(places, default=0)
 
 
@@ -261,7 +284,8 @@ def expand_runs(
         raise ValueError(f"formula has {n} variables, exceeding the tree bound {TREE_BOUND}")
     if n == 0:
         return False
-    table = list(map(program.step, IterationCase))
+    (accept_both, fix_true), (fix_false, reject_both) = program._table
+    rules = fix_true, fix_false, accept_both, reject_both  # IterationCase order
 
     def expand(i: int, text: str, pieces: list[str]) -> _N:
         # `pieces` is `text` split by _split; this call may write into it.
@@ -270,7 +294,7 @@ def expand_runs(
             pieces[k] = "1"
         body = "".join(pieces)
         children = []
-        for value, verdict in table:
+        for _, value, verdict in rules:
             if value is None or i == n:
                 children.append(verdict)
                 continue

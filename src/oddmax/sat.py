@@ -13,9 +13,11 @@ search that first pins the literals among the top-level conjuncts (the unit
 rule) and then splits on the highest live variable.
 
 The join oracle asks :func:`text_satisfiable`, which decides formula text
-without building an AST: up to BRUTEFORCE_BOUND distinct variables it folds
-truth-table columns in the parse loop itself, and above that it parses and
-calls :func:`sat_bruteforce`.
+without building an AST: it splits the text once at its variable tokens,
+takes its variable names from the split's odd pieces (those parse accepts)
+and builds the parse loop's tokens from the same split. Up to
+BRUTEFORCE_BOUND distinct variables it folds truth-table columns in the
+parse loop itself, and above that it parses and calls :func:`sat_bruteforce`.
 
 The sweep and the fold take their variable columns from one cache, one
 column set per width (``_columns``). The sweep walks the left operand of
@@ -40,6 +42,7 @@ from .formula import (
     Or,
     Var,
     _LEAVES,
+    _VARIABLE,
     _fold,
     _tokens,
     num_vars,
@@ -148,12 +151,15 @@ def text_satisfiable(text: str) -> bool:
     With m <= BRUTEFORCE_BOUND distinct variables the text is folded once
     into its 2^m-bit truth table over those variables (an order-free
     renaming, so satisfiability is unchanged), with no AST and no
-    recursion. The fold reads parse's tokens, takes the m cached columns as
-    its leaves and combines them with operator's C-level `and_` and `or_`.
-    Above the bound the text is parsed and decided by sat_bruteforce.
+    recursion. The text is split once at its variable tokens: the names are
+    the split's odd pieces that parse accepts (a token such as x0 or x101
+    is no name, and the fold raises parse's error where it stands), and the
+    fold reads the tokens built from that split, takes the m cached columns
+    as its leaves and combines them with operator's C-level `and_` and
+    `or_`. Above the bound the text is parsed and decided by sat_bruteforce.
     """
-    tokens = _tokens(text)
-    names = _VARIABLE_NAMES.intersection(tokens)
+    pieces = _VARIABLE.split(text)
+    names = _VARIABLE_NAMES.intersection(pieces[1::2])
     m = len(names)
     if m > BRUTEFORCE_BOUND:
         return sat_bruteforce(parse(text))
@@ -161,7 +167,7 @@ def text_satisfiable(text: str) -> bool:
     leaves = dict(zip(names, columns[1:]))
     leaves["0"] = 0
     leaves["1"] = full
-    return _fold(text, tokens, leaves, full.__xor__, and_, or_) != 0
+    return _fold(text, _tokens(pieces), leaves, full.__xor__, and_, or_) != 0
 
 
 @lru_cache(maxsize=None)

@@ -184,6 +184,50 @@ def reference_run_machine(text, oracle, program):
     return Transcript(text, True, tuple(iterations), verdict)
 
 
+#: Answers that are not bools, read for their truth: 1 and "yes" are yes.
+RAW_ANSWERS = (0, 1, "", "yes", None)
+
+
+def raw_oracle(query):
+    """Each raw answer by a hash of the query, so every case is reached."""
+    return RAW_ANSWERS[zlib.crc32(query.wire().encode()) % len(RAW_ANSWERS)]
+
+
+class TestStepTable:
+    """Each program builds one table from classify_case and step, which the
+    run and expand_runs read instead of calling them."""
+
+    @pytest.mark.parametrize(
+        "program", [*MUTANT_PROGRAMS.values(), *FAMILY],
+        ids=[*MUTANT_PROGRAMS, *(f"family-{i:06b}" for i in range(len(FAMILY)))],
+    )
+    def test_equals_classify_case_and_step(self, program):
+        for ans0 in (True, False):
+            for ans1 in (True, False):
+                case = classify_case(ans0, ans1)
+                assert program._table[not ans0][not ans1] == (case, *program.step(case))
+
+    @pytest.mark.parametrize(
+        "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
+        ids=["standard", *MUTANT_PROGRAMS],
+    )
+    def test_non_bool_answers_equal_the_substituting_loop(self, program, corpus):
+        texts = [serialize(formula) for formula in corpus]
+        cases, answers = set(), set()
+        for text in texts:
+            expected = reference_run_machine(text, raw_oracle, program)
+            transcript = run_machine(text, raw_oracle, program)
+            assert transcript.to_json() == expected.to_json(), text
+            records = [rec for it in transcript.iterations for rec in it.records]
+            # The records keep the raw answers: 1 == True, so compare types too.
+            raw = [raw_oracle(rec.query) for rec in records]
+            assert [(type(rec.answer), rec.answer) for rec in records] == [(type(a), a) for a in raw]
+            cases.update(it.case for it in transcript.iterations)
+            answers.update(map(repr, raw))
+        assert cases == set(IterationCase)
+        assert answers == set(map(repr, RAW_ANSWERS))
+
+
 class TestReusedPin:
     @pytest.mark.parametrize(
         "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],
@@ -514,6 +558,12 @@ class TestQueryTree:
     def test_bound_exceeded(self):
         with pytest.raises(ValueError):
             build_query_tree(parse("(x1|x11)"))
+
+    def test_hand_built_index_past_parse_cap_meets_the_bound(self):
+        # Var(101) parses from no text, but serializes to a token that the
+        # split still reads as index 101.
+        with pytest.raises(ValueError, match="formula has 101 variables, exceeding"):
+            build_query_tree(And(Var(1), Var(101)))
 
     @pytest.mark.parametrize(
         "program", [STANDARD_PROGRAM, *MUTANT_PROGRAMS.values()],

@@ -546,6 +546,20 @@ class TestTextSatisfiable:
     def test_any_text(self, text):
         self.assert_matches([text])
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [("(x1&x101)", "variable index exceeds 100", 5),
+         ("(x0|x2)", "variable index must be >= 1", 2),
+         ("(x1&x)", "expected variable index after 'x'", 5),
+         ("(x1&x1000)", "variable index exceeds 100", 5)],
+    )
+    def test_invalid_token_among_valid_ones_raises_parses_error(self, text, message, position):
+        # The names come from the split's odd pieces; an invalid one is no
+        # name, and the fold raises where it stands, as parse does.
+        expected = (f"syntax error at position {position}: {message}", position)
+        assert parse_outcome(parse, text) == expected
+        assert parse_outcome(text_satisfiable, text) == expected
+
 
 class TestDpll:
     def test_contradiction(self):
