@@ -10,7 +10,8 @@ folding and sweeps one table of the last BLOCK_VARS at each leaf. This is
 the renaming text_satisfiable's fold makes, kept in index order. The tests
 check the search by :func:`sat_dpll`, which nothing here calls: a splitting
 search that first pins the literals among the top-level conjuncts (the unit
-rule) and then splits on the highest live variable.
+rule), then decides a disjunction by its sides and otherwise splits on its
+leftmost variable.
 
 The join oracle asks :func:`text_satisfiable`, which decides formula text
 without building an AST: it splits the text once at its variable tokens,
@@ -45,7 +46,6 @@ from .formula import (
     _VARIABLE,
     _fold,
     _tokens,
-    num_vars,
     parse,
 )
 
@@ -221,23 +221,33 @@ def _assign(formula: Formula, index: int, value: Const) -> Formula:
 
 
 def sat_dpll(formula: Formula) -> bool:
-    """Satisfiability by the unit rule, then splitting on the highest-index
-    live variable.
+    """Satisfiability by the unit rule, then a disjunction by its sides, then
+    splitting on the leftmost variable.
 
     Works directly on the AST. While the formula is an And, a literal that
     is a conjunct of its top-level "&" spine is forced: _assign makes it
     true and folds constants (the unit rule of Davis, Logemann and Loveland,
-    CACM 1962). Then the search splits on x_num_vars, the true branch before
-    the false one. No variable-count bound.
+    CACM 1962). An Or is satisfiable exactly when one of its sides is, and
+    is decided side by side, left first. Otherwise the search splits on the
+    variable reached by following the left operand down from the root, the
+    true branch before the false one. No variable-count bound.
     """
     while type(formula) is And:
         forced = _spine_literal(formula)
         if forced is None:
             break
         formula = _assign(formula, *forced)
-    index = num_vars(formula)
-    if index == 0:
-        return _assign(formula, 0, TRUE).value
+    if type(formula) is Or:
+        return sat_dpll(formula.left) or sat_dpll(formula.right)
+    leaf = formula
+    while type(leaf) is not Var:
+        if type(leaf) is Const:
+            # Only the caller's formula can hold a constant: _assign folds
+            # every one away, so the folded formula's path ends at a Var.
+            formula = _assign(formula, 0, TRUE)
+            return formula.value if type(formula) is Const else sat_dpll(formula)
+        leaf = leaf.child if type(leaf) is Not else leaf.left
+    index = leaf.index
     return sat_dpll(_assign(formula, index, TRUE)) or sat_dpll(_assign(formula, index, FALSE))
 
 

@@ -94,8 +94,10 @@ def reference_dpll(formula, calls):
 def reference_unit_dpll(formula, calls):
     """sat_dpll's rule in the three walks, recursive where it is iterative:
     while the formula is an And, make the leftmost literal among the
-    conjuncts of its "&" spine true, then split as reference_dpll does;
-    appends one entry to `calls` per call."""
+    conjuncts of its "&" spine true; then decide an Or by its sides, left
+    first; otherwise split on the leftmost leaf, true first, or, if that
+    leaf is a constant, fold the formula and decide it again unless it
+    folded to a constant. Appends one entry to `calls` per call."""
     calls.append(formula)
     while isinstance(formula, And):
         literal = next((c for c in conjuncts(formula) if is_literal(c)), None)
@@ -105,13 +107,29 @@ def reference_unit_dpll(formula, calls):
             formula = _fold_constants(substitute(formula, literal.index, True))
         else:
             formula = _fold_constants(substitute(formula, literal.child.index, False))
-    index = reference_num_vars(formula)
-    if index == 0:
-        return _fold_constants(formula).value
+    if isinstance(formula, Or):
+        return reference_unit_dpll(formula.left, calls) or reference_unit_dpll(
+            formula.right, calls
+        )
+    leaf = leftmost_leaf(formula)
+    if isinstance(leaf, Const):
+        folded = _fold_constants(formula)
+        if isinstance(folded, Const):
+            return folded.value
+        return reference_unit_dpll(folded, calls)
     return any(
-        reference_unit_dpll(_fold_constants(substitute(formula, index, value)), calls)
+        reference_unit_dpll(_fold_constants(substitute(formula, leaf.index, value)), calls)
         for value in (True, False)
     )
+
+
+def leftmost_leaf(formula):
+    """The leaf reached by taking the left operand (or the child) from the root."""
+    if isinstance(formula, (Var, Const)):
+        return formula
+    if isinstance(formula, Not):
+        return leftmost_leaf(formula.child)
+    return leftmost_leaf(formula.left)
 
 
 def conjuncts(formula):
@@ -257,6 +275,15 @@ def tautologies(first, last):
     chain = Or(Var(last), Not(Var(last)))
     for i in range(last - 1, first - 1, -1):
         chain = And(Or(Var(i), Not(Var(i))), chain)
+    return chain
+
+
+def contradictions(indices):
+    """The left-deep disjunction of (x_i&!x_i) for each i in `indices`."""
+    first, *rest = indices
+    chain = And(Var(first), Not(Var(first)))
+    for i in rest:
+        chain = Or(chain, And(Var(i), Not(Var(i))))
     return chain
 
 
@@ -577,7 +604,9 @@ class TestDpll:
             formula = random_formula(seed, n=12, size=25)
             assert sat_dpll(formula) == sat_bruteforce(formula)
 
-    def test_same_answers_and_branches_as_the_three_walk_search(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The formula of every sat_dpll call, branches included."""
         calls = []
         original = oddmax.sat.sat_dpll
 
@@ -588,6 +617,9 @@ class TestDpll:
         # sat_dpll recurses through the module global, so every branch
         # passes through the wrapper.
         monkeypatch.setattr(oddmax.sat, "sat_dpll", counting)
+        return calls
+
+    def test_same_answers_and_branches_as_the_three_walk_search(self, calls):
         # reference_dpll gives the answer and reference_unit_dpll, sat_dpll's
         # rule written apart, the exact number of calls.
         for formula in list(dpll_samples()) + [parse(text) for text in WITH_CONSTANTS]:
@@ -597,6 +629,31 @@ class TestDpll:
             calls.clear()
             assert oddmax.sat.sat_dpll(formula) is expected, serialize(formula)
             assert len(calls) == len(expected_calls), serialize(formula)
+
+    def test_disjunction_of_contradictions_is_decided_side_by_side(self, calls):
+        # A split on x1 leaves the other contradictions standing, so a
+        # search without the disjunction rule makes 2^12 - 1 calls here.
+        assert oddmax.sat.sat_dpll(contradictions(range(1, 13))) is False
+        assert len(calls) <= 2 * 12 - 1
+        assert sat_dpll(contradictions(range(1, 61))) is False
+        assert sat_dpll(Or(contradictions(range(1, 61)), Var(61))) is True
+
+    def test_long_disjunction_chain(self):
+        # The disjunction rule recurses once per disjunct; 900 of them fit
+        # under the default recursion limit.
+        chain = contradictions([1] * 900)
+        assert sat_dpll(chain) is False
+        assert sat_dpll(Or(chain, Var(2))) is True
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 12)), min_size=1,
+                    max_size=6))
+    def test_disjunction_is_satisfiable_when_a_disjunct_is(self, draws):
+        disjuncts = [random_formula(seed, n=n, size=15) for seed, n in draws]
+        chain = disjuncts[0]
+        for disjunct in disjuncts[1:]:
+            chain = Or(chain, disjunct)
+        assert sat_dpll(chain) is sat_bruteforce(chain) is any(map(sat_bruteforce, disjuncts))
 
     def test_assign_is_fold_after_substitute(self):
         for formula in list(dpll_samples()) + [parse(text) for text in WITH_CONSTANTS]:
