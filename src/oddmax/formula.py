@@ -27,10 +27,11 @@ loop (``_fold``) takes its algebra as arguments: parse folds the tokens
 into AST nodes, :func:`canonical` into the canonical text itself, and
 :func:`oddmax.sat.text_satisfiable` into bit-parallel truth-table columns,
 so all three share one tokenizer, one grammar and one set of error messages
-and positions. The leaves ``Var(1)`` .. ``Var(MAX_VAR_INDEX)``, ``TRUE`` and
-``FALSE`` are built once at import: parse, substitute and the SAT layer's
-constant folding return these shared objects instead of building new ones.
-The AST walkers dispatch on ``type(node) is C``.
+and positions. Only this module decides what a leaf is: ``Var`` and ``Const``
+admit exactly the leaves parse accepts, and the machine and the SAT layer
+read variable tokens through its one table, ``_INDEX``. Those leaves are
+built once at import: parse, substitute and the SAT layer's constant folding
+return these shared objects. The AST walkers dispatch on ``type(node) is C``.
 """
 
 from __future__ import annotations
@@ -53,11 +54,17 @@ Assignment = tuple[bool, ...]
 
 @dataclass(frozen=True, slots=True)
 class Var:
+    """The variable x_index, for an int index in 1..MAX_VAR_INDEX as parse reads."""
+
     index: int
 
     def __post_init__(self) -> None:
+        if type(self.index) is not int:
+            raise ValueError(f"variable index must be an int, got {self.index!r}")
         if self.index < 1:
             raise ValueError(f"variable index must be >= 1, got {self.index}")
+        if self.index > MAX_VAR_INDEX:
+            raise ValueError(f"variable index exceeds {MAX_VAR_INDEX}, got {self.index}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,15 +86,23 @@ class Or:
 
 @dataclass(frozen=True, slots=True)
 class Const:
+    """The constant 1 or 0; `value` is a bool, so Const(2) is no leaf."""
+
     value: bool
+
+    def __post_init__(self) -> None:
+        if type(self.value) is not bool:
+            raise ValueError(f"constant value must be a bool, got {self.value!r}")
 
 
 #: The shared constant leaves.
 TRUE, FALSE = Const(True), Const(False)
 
+#: Each variable token parse accepts, mapped to its index: the one token table.
+_INDEX = {f"x{i}": i for i in range(1, MAX_VAR_INDEX + 1)}
 #: Every leaf parse can return, keyed by its text.
 _LEAVES: dict[str, Formula] = {"0": FALSE, "1": TRUE}
-_LEAVES.update((f"x{i}", Var(i)) for i in range(1, MAX_VAR_INDEX + 1))
+_LEAVES.update((name, Var(i)) for name, i in _INDEX.items())
 _TEXTS = {key: key for key in _LEAVES}  # the leaves as `canonical` folds them
 
 
@@ -211,7 +226,7 @@ def _literal_error(token: str, pos: int) -> ParseError:
 def serialize(formula: Formula) -> str:
     """Canonical form: fully parenthesized binary nodes, no whitespace.
 
-    Injective on ASTs; parse(serialize(f)) == f.
+    Injective on ASTs; parse(serialize(f)) == f for every AST f.
     """
     kind = type(formula)
     if kind is Var:

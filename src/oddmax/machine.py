@@ -15,9 +15,9 @@ four children's rules from it.
 
 Runs and trees work on text and walk no AST. The canonical text (folded from
 the input by formula.canonical, or the tree's one serialize) is split at its
-variable tokens, each token's index read from a table of parse's leaf names,
-and a body is that text with '1' or '0' written over the tokens of x_1..x_i:
-the string serialize(substitute(...)) gives for those pins.
+variable tokens, each token's index read from formula's one token table, and
+a body is that text with '1' or '0' written over the tokens of x_1..x_i: the
+string serialize(substitute(...)) gives for those pins.
 
 All runs are expanded in one place, `expand_runs`, which takes the node
 builder as an argument; each job passes its own builder and walks no tree
@@ -38,8 +38,8 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping, NamedTuple, TypeVar, Union
 
 # _VARIABLE is the variable-token pattern parse's tokenizer splits at, and
-# _LEAVES holds the text of every leaf parse accepts.
-from .formula import Formula, ParseError, Var, _LEAVES, _VARIABLE, canonical, serialize
+# _INDEX maps every variable token parse accepts to its index.
+from .formula import Formula, ParseError, _INDEX, _VARIABLE, canonical, serialize
 from .oracle import TAGS, Oracle, Query, sat_join_cosat
 
 #: Largest variable count for full tree expansion and query universes.
@@ -211,22 +211,16 @@ def run_machine(
     return Transcript(text, True, tuple(iterations), verdict)
 
 
-#: The index of every variable token parse accepts, keyed by its text.
-_INDEX = {name: leaf.index for name, leaf in _LEAVES.items() if type(leaf) is Var}
-
-
 def _split(text: str) -> tuple[list[str], dict[int, list[int]], int]:
     """Canonical text split at its variable tokens: the pieces (odd ones are
     the tokens), the piece positions of each x_i, and the largest index i.
 
-    A token past MAX_VAR_INDEX (serialized from a hand-built Var, never
-    parsed) is read with int."""
+    Canonical text comes from parse or serialize, so each token is one that
+    parse accepts and is read from formula's token table."""
     pieces = _VARIABLE.split(text)
     places: dict[int, list[int]] = {}
-    index = _INDEX.get
     for k in range(1, len(pieces), 2):
-        token = pieces[k]
-        places.setdefault(index(token) or int(token[1:]), []).append(k)
+        places.setdefault(_INDEX[pieces[k]], []).append(k)
     return pieces, places, max(places, default=0)
 
 

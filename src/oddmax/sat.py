@@ -15,15 +15,16 @@ leftmost variable.
 
 The join oracle asks :func:`text_satisfiable`, which decides formula text
 without building an AST: it splits the text once at its variable tokens,
-takes its variable names from the split's odd pieces (those parse accepts)
-and builds the parse loop's tokens from the same split. Up to
-BRUTEFORCE_BOUND distinct variables it folds truth-table columns in the
-parse loop itself, and above that it parses and calls :func:`sat_bruteforce`.
+takes its variable names from the split's odd pieces that are in formula's
+token table (those parse accepts) and builds the parse loop's tokens from
+the same split. Up to BRUTEFORCE_BOUND distinct variables it folds
+truth-table columns in the parse loop itself, and above that it parses and
+calls :func:`sat_bruteforce`.
 
 The sweep and the fold take their variable columns from one cache, one
-column set per width (``_columns``). The sweep walks the left operand of
-"&" and "|" first and skips the right one when the left absorbs it (0 for
-"&", all-ones for "|").
+column set per width (``_columns``), built by one recurrence on the width.
+The sweep walks the left operand of "&" and "|" first and skips the right
+one when the left absorbs it (0 for "&", all-ones for "|").
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .formula import (
     Not,
     Or,
     Var,
-    _LEAVES,
+    _INDEX,
     _VARIABLE,
     _fold,
     _tokens,
@@ -141,10 +142,6 @@ def _table(formula: Formula, columns: Mapping[int, int], full: int) -> int:
     return left | _table(formula.right, columns, full) if left != full else full
 
 
-#: The text of every variable leaf parse accepts.
-_VARIABLE_NAMES = frozenset(_LEAVES) - {"0", "1"}
-
-
 def text_satisfiable(text: str) -> bool:
     """Satisfiability of formula text; raises ParseError exactly as parse does.
 
@@ -152,14 +149,15 @@ def text_satisfiable(text: str) -> bool:
     into its 2^m-bit truth table over those variables (an order-free
     renaming, so satisfiability is unchanged), with no AST and no
     recursion. The text is split once at its variable tokens: the names are
-    the split's odd pieces that parse accepts (a token such as x0 or x101
-    is no name, and the fold raises parse's error where it stands), and the
-    fold reads the tokens built from that split, takes the m cached columns
-    as its leaves and combines them with operator's C-level `and_` and
-    `or_`. Above the bound the text is parsed and decided by sat_bruteforce.
+    the split's odd pieces in formula's token table (a token such as x0 or
+    x101 is no name, and the fold raises parse's error where it stands),
+    and the fold reads the tokens built from that split, takes the m cached
+    columns as its leaves and combines them with operator's C-level `and_`
+    and `or_`. Above the bound the text is parsed and decided by
+    sat_bruteforce.
     """
     pieces = _VARIABLE.split(text)
-    names = _VARIABLE_NAMES.intersection(pieces[1::2])
+    names = _INDEX.keys() & pieces[1::2]
     m = len(names)
     if m > BRUTEFORCE_BOUND:
         return sat_bruteforce(parse(text))
@@ -175,21 +173,14 @@ def _columns(m: int) -> tuple[int, tuple[int, ...]]:
     # The all-ones mask over 2^m assignments and, at index i, the column of
     # the i-th of m variables, x_1 first (slot 0 unused): the package's one
     # column cache, which the lex-max search and the join's fold share.
-    return (1 << (1 << m)) - 1, (0, *(_var_column(m - i, m) for i in range(1, m + 1)))
-
-
-def _var_column(shift: int, n: int) -> int:
-    # Bit a of the column for x_i is (a >> shift) & 1 with shift = n - i,
-    # i.e. blocks of 2^shift zeros then 2^shift ones, repeated. Built by
-    # doubling instead of looping over all 2^n assignments.
-    half = 1 << shift
-    column = ((1 << half) - 1) << half
-    filled = half << 1
-    total = 1 << n
-    while filled < total:
-        column |= column << filled
-        filled <<= 1
-    return column
+    # Bit a of x_i's column is bit m - i of a. The columns grow one width at
+    # a time, and only width m is cached: at width w + 1, x_1's column is
+    # the upper half and x_i's is x_(i-1)'s column at width w, repeated.
+    columns: tuple[int, ...] = ()
+    for w in range(m):
+        half = 1 << w  # the assignments at width w
+        columns = (((1 << half) - 1) << half, *(column | column << half for column in columns))
+    return (1 << (1 << m)) - 1, (0, *columns)
 
 
 def _assign(formula: Formula, index: int, value: Const) -> Formula:
@@ -251,20 +242,17 @@ def sat_dpll(formula: Formula) -> bool:
     return sat_dpll(_assign(formula, index, TRUE)) or sat_dpll(_assign(formula, index, FALSE))
 
 
-def _spine_literal(formula: And) -> tuple[int, Const] | None:
+def _spine_literal(formula: Formula) -> tuple[int, Const] | None:
     # The leftmost literal among the conjuncts of the "&" spine, as the pin
     # (index, value) that makes it true; None if no conjunct is a literal.
-    # The spine is walked with an explicit stack, left conjunct first.
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is And:
-            stack += (node.right, node.left)
-        elif kind is Var:
-            return node.index, TRUE
-        elif kind is Not and type(node.child) is Var:
-            return node.child.index, FALSE
+    # It recurses no deeper than the _assign that sat_dpll calls next.
+    kind = type(formula)
+    if kind is And:
+        return _spine_literal(formula.left) or _spine_literal(formula.right)
+    if kind is Var:
+        return formula.index, TRUE
+    if kind is Not and type(formula.child) is Var:
+        return formula.child.index, FALSE
     return None
 
 
@@ -293,7 +281,9 @@ def odd_max_sat_ref(formula: Formula) -> bool:
     x_n is true. x_n is the last variable that occurs, so it is bit 0 of
     the lex-max search's index. Rejects unsatisfiable formulas, and, as the
     machine does, a formula without variables, which has no x_n to be true;
-    so decide_oddmaxsat(f) == odd_max_sat_ref(f) for every formula f.
+    so decide_oddmaxsat(f) == odd_max_sat_ref(f) for every formula f. That
+    holds for every AST, not only parsed ones: the leaf constructors admit
+    only leaves parse accepts, so the machine reads f's serialization back.
     """
     top = _top_model(formula, _names(formula))
     return top is not None and top & 1 == 1

@@ -260,6 +260,22 @@ class TestLimits:
         with pytest.raises(ParseError):
             parse("x" + "9" * 5000)
 
+    def test_leaf_constructors_admit_only_the_leaves_parse_accepts(self):
+        assert parse(serialize(Var(MAX_VAR_INDEX))) == Var(MAX_VAR_INDEX)
+        for index in (0, -1):
+            with pytest.raises(ValueError, match="variable index must be >= 1"):
+                Var(index)
+        for index in (MAX_VAR_INDEX + 1, 150, 10**6):
+            with pytest.raises(ValueError, match=f"variable index exceeds {MAX_VAR_INDEX}"):
+                Var(index)
+        # An index parse never reads serializes to a token it rejects.
+        for index in (True, 1.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="variable index must be an int"):
+                Var(index)
+        for value in (2, 0, 1, 1.0, None, "1"):
+            with pytest.raises(ValueError, match="constant value must be a bool"):
+                Const(value)
+
     @pytest.mark.parametrize("text", ["x\u00b2", "x1\u00b2", "x\u0661"])
     def test_only_ascii_digits_index_variables(self, text):
         with pytest.raises(ParseError):

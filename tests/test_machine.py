@@ -560,9 +560,9 @@ class TestQueryTree:
             build_query_tree(parse("(x1|x11)"))
 
     def test_hand_built_index_past_parse_cap_meets_the_bound(self):
-        # Var(101) parses from no text, but serializes to a token that the
-        # split still reads as index 101.
-        with pytest.raises(ValueError, match="formula has 101 variables, exceeding"):
+        # Var(101) parses from no text, so no AST holds it: the constructor
+        # raises parse's error before a tree is built.
+        with pytest.raises(ValueError, match="variable index exceeds 100"):
             build_query_tree(And(Var(1), Var(101)))
 
     @pytest.mark.parametrize(

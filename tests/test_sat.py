@@ -39,7 +39,6 @@ from oddmax.sat import (
     BRUTEFORCE_BOUND,
     _assign,
     _columns,
-    _var_column,
     lexmax,
     odd_max_sat_ref,
     sat_bruteforce,
@@ -206,6 +205,20 @@ class TestBruteforce:
         for seed in range(2000):
             formula = random_formula(seed, n=6, size=20)
             assert sat_bruteforce(formula) == bool(satisfying_assignments(formula))
+
+
+def _var_column(shift: int, n: int) -> int:
+    # Bit a of the column for x_i is (a >> shift) & 1 with shift = n - i,
+    # i.e. blocks of 2^shift zeros then 2^shift ones, repeated. Built by
+    # doubling instead of looping over all 2^n assignments.
+    half = 1 << shift
+    column = ((1 << half) - 1) << half
+    filled = half << 1
+    total = 1 << n
+    while filled < total:
+        column |= column << filled
+        filled <<= 1
+    return column
 
 
 def reference_truth_table(formula, n):
@@ -396,7 +409,8 @@ class TestBlocks:
 
 
 class TestColumns:
-    """_columns(m): the one column cache, indexed by variable."""
+    """_columns(m): the one column cache, indexed by variable, against the
+    doubling construction that built each column on its own."""
 
     @pytest.mark.parametrize("m", range(BRUTEFORCE_BOUND + 1))
     def test_layout_and_one_cached_tuple_per_width(self, m):
@@ -411,6 +425,11 @@ class TestColumns:
             for i in range(1, m + 1):
                 assert columns[i] == sum(1 << a for a in range(1 << m) if a >> (m - i) & 1)
         assert _columns(m)[1] is columns
+
+    def test_only_the_widths_asked_for_are_cached(self):
+        _columns.cache_clear()
+        _columns(13)
+        assert _columns.cache_info().currsize == 1
 
 
 def absorbing_formulas(n):
@@ -793,6 +812,21 @@ class TestSearchAboveTheBound:
             for formula in (parse(text), full_span(parse(text), n)):
                 assert assert_search(formula) == witness
 
+    @pytest.mark.parametrize("text, n, witness", [
+        # x1 = 1 folds the formula to TRUE before any leaf: x2..x17 read true.
+        ("(x1|(" + "&".join(f"x{i}" for i in range(2, 18)) + "))", 17, (True,) * 17),
+        # x1 = 1 folds to FALSE at x3 either way, and x1, x2 = 0, 1 to TRUE:
+        # x3..x20 read true.
+        ("((!x1&x2)|(x1&((x3&!x3)&(" + "&".join(f"x{i}" for i in range(4, 21)) + "))))",
+         20, (False,) + (True,) * 19),
+    ], ids=["x1-folds-to-true", "x1-x2-fold-to-true"])
+    def test_a_pin_that_folds_to_true_ends_with_ones(self, text, n, witness, monkeypatch):
+        sweeps = record_sweeps(monkeypatch)
+        formula = parse(text)
+        assert lexmax(formula) == reference_witness(formula, n) == witness
+        assert odd_max_sat_ref(formula) is decide_oddmaxsat(formula) is True
+        assert sweeps == []
+
     def test_branches_that_fold_to_constants(self):
         # x1, x2 = 1, 1 folds to FALSE and x1, x2, x3 = 1, 0, 1 to TRUE.
         formula = parse("((!x1|!x2)&(x3|x30))")
@@ -847,6 +881,37 @@ class TestSearchAboveTheBound:
             base = random_formula(seed, n=n, size=3 * n)
             for body in (base, Not(base)):
                 assert_search(full_span(body, n))
+
+
+def drawn_node(draw, budget):
+    """An AST of at most `budget` nodes, drawn node by node."""
+    if budget >= 3 and draw(st.booleans()):
+        left = draw(st.integers(1, budget - 2))
+        kind = draw(st.sampled_from([And, Or]))
+        return kind(drawn_node(draw, left), drawn_node(draw, budget - 1 - left))
+    if budget >= 2 and draw(st.booleans()):
+        return Not(drawn_node(draw, budget - 1))
+    return draw(st.one_of(st.builds(Var, st.integers(1, MAX_VAR_INDEX)),
+                          st.builds(Const, st.booleans())))
+
+
+@st.composite
+def constructed_formulas(draw):
+    """ASTs of at most 25 nodes built straight from the constructors, with
+    indices anywhere in 1..MAX_VAR_INDEX and bool constants."""
+    return drawn_node(draw, draw(st.integers(1, 25)))
+
+
+class TestConstructedFormulas:
+    """An AST needs no parse to be a formula: the leaf constructors admit
+    only the leaves parse accepts, so every AST round-trips and meets
+    Theorem 1."""
+
+    @settings(deadline=None)
+    @given(constructed_formulas())
+    def test_round_trip_and_machine_equals_reference(self, formula):
+        assert parse(serialize(formula)) == formula
+        assert decide_oddmaxsat(formula) == odd_max_sat_ref(formula)
 
 
 def renamed(formula, targets):
